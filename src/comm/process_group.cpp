@@ -33,19 +33,25 @@ void
 TypedAllToAll(ProcessGroup& pg, const std::vector<std::vector<T>>& send,
               std::vector<std::vector<T>>& recv)
 {
+    // An empty vector's data() may be null, and memcpy from or to null
+    // is undefined even for zero bytes, so empty buffers are skipped.
     std::vector<std::vector<uint8_t>> send_bytes(send.size());
     for (size_t r = 0; r < send.size(); r++) {
         send_bytes[r].resize(send[r].size() * sizeof(T));
-        std::memcpy(send_bytes[r].data(), send[r].data(),
-                    send_bytes[r].size());
+        if (!send_bytes[r].empty()) {
+            std::memcpy(send_bytes[r].data(), send[r].data(),
+                        send_bytes[r].size());
+        }
     }
     std::vector<std::vector<uint8_t>> recv_bytes;
     pg.AllToAllBytes(send_bytes, recv_bytes);
     recv.resize(recv_bytes.size());
     for (size_t r = 0; r < recv_bytes.size(); r++) {
         recv[r].resize(recv_bytes[r].size() / sizeof(T));
-        std::memcpy(recv[r].data(), recv_bytes[r].data(),
-                    recv_bytes[r].size());
+        if (!recv_bytes[r].empty()) {
+            std::memcpy(recv[r].data(), recv_bytes[r].data(),
+                        recv_bytes[r].size());
+        }
     }
 }
 

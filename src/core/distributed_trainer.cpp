@@ -1,7 +1,6 @@
 #include "core/distributed_trainer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <thread>
 
 #include "common/logging.h"
@@ -168,41 +167,33 @@ DistributedDlrm::PrepareInputVia(const ShardRouter& router,
 
 void
 DistributedDlrm::ForwardEmbeddings(const PreparedInput& prepared,
-                                   std::vector<Matrix>& shard_pooled)
+                                   std::vector<Matrix>& pooled)
 {
+    // Model-parallel shards pool the global batch in one fused lookup,
+    // the exchange hands every rank its samples' pooled rows, and the
+    // replicated DP tables then pool the local batch straight into them.
     const size_t b_global = prepared.local_batch * world_;
-    shard_pooled.resize(shards_.size());
+    std::vector<Matrix> shard_pooled(shards_.size());
+    std::vector<ops::PoolingJob> jobs;
     for (size_t i = 0; i < shards_.size(); i++) {
-        const auto& shard = shards_[i];
-        const size_t d = static_cast<size_t>(shard.meta.NumCols());
-        Matrix& pooled = shard_pooled[i];
-        if (pooled.rows() != b_global || pooled.cols() != d) {
-            pooled = Matrix(b_global, d);
-        } else {
-            pooled.Zero();
-        }
         const auto& input = prepared.shard_inputs[i];
         NEO_CHECK(input.batch == b_global, "shard input batch mismatch");
-        const auto lens = input.LengthsForTable(0);
-        const auto idx = input.IndicesForTable(0);
-        size_t offset = 0;
-        for (size_t b = 0; b < b_global; b++) {
-            float* out = pooled.Row(b);
-            for (uint32_t k = 0; k < lens[b]; k++) {
-                shard.table.AccumulateRow(idx[offset + k], 1.0f, out);
-            }
-            offset += lens[b];
-        }
+        shard_pooled[i] =
+            Matrix(b_global, static_cast<size_t>(shards_[i].meta.NumCols()));
+        jobs.push_back(
+            {&shards_[i].table, input.InputForTable(0), &shard_pooled[i]});
     }
-}
+    ops::PoolBags(jobs);
+    router_->ExchangePooled(shard_pooled, prepared.local_batch,
+                            options_.forward_alltoall, pooled);
 
-void
-DistributedDlrm::ExchangePooled(const std::vector<Matrix>& shard_pooled,
-                                size_t local_batch,
-                                std::vector<Matrix>& pooled_out)
-{
-    router_->ExchangePooled(shard_pooled, local_batch,
-                            options_.forward_alltoall, pooled_out);
+    jobs.clear();
+    for (const auto& dp : dp_tables_) {
+        const size_t t = static_cast<size_t>(dp.table);
+        jobs.push_back(
+            {&dp.replica, prepared.local_sparse.InputForTable(t), &pooled[t]});
+    }
+    ops::PoolBags(jobs);
 }
 
 double
@@ -211,29 +202,11 @@ DistributedDlrm::TrainStepPrepared(PreparedInput& prepared)
     const size_t b_local = prepared.local_batch;
     const size_t b_global = b_local * static_cast<size_t>(world_);
 
-    // ---- model-parallel embedding forward + exchange ----
-    std::vector<Matrix> shard_pooled;
+    // ---- model-parallel embedding forward + exchange, DP tables ----
     std::vector<Matrix> pooled;
     {
         NEO_TRACE_SPAN("emb_forward", "emb_fwd");
-        ForwardEmbeddings(prepared, shard_pooled);
-        ExchangePooled(shard_pooled, b_local, pooled);
-
-        // ---- replicated DP tables pool the local batch directly ----
-        for (const auto& dp : dp_tables_) {
-            Matrix& out = pooled[dp.table];
-            const auto input = prepared.local_sparse.InputForTable(
-                static_cast<size_t>(dp.table));
-            size_t offset = 0;
-            for (size_t b = 0; b < b_local; b++) {
-                float* row = out.Row(b);
-                for (uint32_t k = 0; k < input.lengths[b]; k++) {
-                    dp.replica.AccumulateRow(input.indices[offset + k],
-                                             1.0f, row);
-                }
-                offset += input.lengths[b];
-            }
-        }
+        ForwardEmbeddings(prepared, pooled);
     }
 
     // ---- dense forward ----
@@ -429,33 +402,20 @@ DistributedDlrm::ExchangeGradsAndUpdate(const PreparedInput& prepared,
     std::vector<std::vector<float>> recv;
     comm::QuantizedAllToAll(pg_, send, recv, options_.backward_alltoall);
 
-    // Assemble each local shard's global-batch gradient and apply the
-    // fused exact update.
-    std::vector<size_t> cursor(world_, 0);
-    std::vector<Matrix> shard_grads(shards_.size());
-    for (size_t i = 0; i < shards_.size(); i++) {
-        const size_t d = static_cast<size_t>(shards_[i].meta.NumCols());
-        shard_grads[i] = Matrix(b_global, d);
-    }
-    for (int src = 0; src < world_; src++) {
-        // recv[src] holds, in my local shard order, a (b_local x d) block
-        // per shard.
-        for (size_t i = 0; i < shards_.size(); i++) {
-            const size_t d = shard_grads[i].cols();
-            const float* payload = recv[src].data() + cursor[src];
-            cursor[src] += b_local * d;
-            for (size_t b = 0; b < b_local; b++) {
-                std::memcpy(
-                    shard_grads[i].Row(static_cast<size_t>(src) * b_local +
-                                       b),
-                    payload + b * d, d * sizeof(float));
-            }
-        }
-    }
-
+    // recv[src] holds, in my local shard order, a (b_local x d) gradient
+    // block per shard; global sample src * b_local + b is row b of
+    // source src's block. Every occurrence of a sample's bag points at
+    // that row in place.
     std::vector<ops::SparseGradRef> refs;
+    std::vector<const float*> block(world_);
+    std::vector<size_t> cursor(world_, 0);
     for (size_t i = 0; i < shards_.size(); i++) {
         auto& shard = shards_[i];
+        const size_t d = static_cast<size_t>(shard.meta.NumCols());
+        for (int src = 0; src < world_; src++) {
+            block[src] = recv[src].data() + cursor[src];
+            cursor[src] += b_local * d;
+        }
         const auto& input = prepared.shard_inputs[i];
         const auto lens = input.LengthsForTable(0);
         const auto idx = input.IndicesForTable(0);
@@ -463,7 +423,7 @@ DistributedDlrm::ExchangeGradsAndUpdate(const PreparedInput& prepared,
         refs.reserve(idx.size());
         size_t offset = 0;
         for (size_t b = 0; b < b_global; b++) {
-            const float* g = shard_grads[i].Row(b);
+            const float* g = block[b / b_local] + (b % b_local) * d;
             for (uint32_t k = 0; k < lens[b]; k++) {
                 refs.push_back({idx[offset + k], g});
             }
@@ -623,24 +583,8 @@ DistributedDlrm::Predict(const data::Batch& local_batch, Matrix& logits)
     PreparedInput prepared = PrepareInput(local_batch);
     const size_t b_local = prepared.local_batch;
 
-    std::vector<Matrix> shard_pooled;
-    ForwardEmbeddings(prepared, shard_pooled);
     std::vector<Matrix> pooled;
-    ExchangePooled(shard_pooled, b_local, pooled);
-    for (const auto& dp : dp_tables_) {
-        Matrix& out = pooled[dp.table];
-        const auto input = prepared.local_sparse.InputForTable(
-            static_cast<size_t>(dp.table));
-        size_t offset = 0;
-        for (size_t b = 0; b < b_local; b++) {
-            float* row = out.Row(b);
-            for (uint32_t k = 0; k < input.lengths[b]; k++) {
-                dp.replica.AccumulateRow(input.indices[offset + k], 1.0f,
-                                         row);
-            }
-            offset += input.lengths[b];
-        }
-    }
+    ForwardEmbeddings(prepared, pooled);
 
     Matrix bottom_out;
     bottom_->Forward(prepared.dense, bottom_out);

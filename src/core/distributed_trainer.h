@@ -273,10 +273,9 @@ class DistributedDlrm
     StepResult RunStepWithRecovery(const std::function<double()>& attempt);
 
     // -- step phases --
+    /** Pooled lookup of every table for this rank's local batch. */
     void ForwardEmbeddings(const PreparedInput& prepared,
-                           std::vector<Matrix>& pooled_local);
-    void ExchangePooled(const std::vector<Matrix>& shard_pooled,
-                        size_t local_batch, std::vector<Matrix>& pooled_out);
+                           std::vector<Matrix>& pooled);
     void ExchangeGradsAndUpdate(const PreparedInput& prepared,
                                 const std::vector<Matrix>& grad_pooled);
     void UpdateDpTables(const PreparedInput& prepared,

@@ -12,18 +12,18 @@ namespace neo::ops {
 namespace {
 
 /**
- * Batch rows per forward shard. Each shard pools a contiguous sample range
- * of one table, so shards write disjoint output rows and the partitioning
- * (table x fixed batch chunks) is independent of the thread count.
+ * Bags per pooling shard. Each shard pools a contiguous bag range of one
+ * job, so shards write disjoint output rows and the partitioning (job x
+ * fixed bag chunks) is independent of the thread count.
  */
-constexpr size_t kForwardBatchGrain = 64;
+constexpr size_t kPoolBagGrain = 64;
 
-/** One (table, sample-range) unit of forward work. */
-struct ForwardShard {
-    size_t table;
-    size_t batch_begin;
-    size_t batch_end;
-    size_t index_offset;  // offset of batch_begin's first index
+/** One (job, bag-range) unit of pooling work. */
+struct PoolShard {
+    size_t job;
+    size_t bag_begin;
+    size_t bag_end;
+    size_t index_offset;  // offset of bag_begin's first index
 };
 
 }  // namespace
@@ -50,6 +50,69 @@ EmbeddingBagCollection::EmbeddingBagCollection(
 }
 
 void
+PoolBags(std::span<const PoolingJob> jobs)
+{
+    // Serial pass: validate the inputs and carve the fused (job x bag)
+    // iteration space into shards. Offsets into each job's indices are
+    // prefix sums of its lengths, so they are computed here once and
+    // each shard starts from a known position.
+    std::vector<PoolShard> shards;
+    for (size_t j = 0; j < jobs.size(); j++) {
+        const PoolingJob& job = jobs[j];
+        const size_t bags = job.input.lengths.size();
+        NEO_CHECK(job.out->rows() == bags &&
+                      job.out->cols() ==
+                          static_cast<size_t>(job.table->dim()),
+                  "pooled output shape mismatch");
+        size_t offset = 0;
+        for (size_t b = 0; b < bags; b++) {
+            if (b % kPoolBagGrain == 0) {
+                shards.push_back(
+                    {j, b, std::min(b + kPoolBagGrain, bags), offset});
+            }
+            const uint32_t len = job.input.lengths[b];
+            NEO_CHECK(offset + len <= job.input.indices.size(),
+                      "indices shorter than lengths imply");
+            offset += len;
+        }
+        NEO_CHECK(offset == job.input.indices.size(),
+                  "indices longer than lengths imply");
+    }
+    // Fused parallel loop over all jobs (the CPU analogue of the single
+    // batched CUDA kernel in Fig. 7). Shards write disjoint output rows
+    // and only read table parameters, so any thread count produces the
+    // serial result bit-for-bit. Each bag pools through the active SIMD
+    // kernel tier's fused gather+accumulate.
+    static obs::Counter& pool_calls =
+        obs::MetricsRegistry::Get().GetCounter("neo.kernels.pool_calls");
+    ParallelFor(0, shards.size(), 1, [&](size_t s0, size_t s1) {
+        uint64_t bags = 0;
+        for (size_t s = s0; s < s1; s++) {
+            const PoolShard& shard = shards[s];
+            const PoolingJob& job = jobs[shard.job];
+            const int64_t* indices = job.input.indices.data();
+            size_t offset = shard.index_offset;
+            for (size_t b = shard.bag_begin; b < shard.bag_end; b++) {
+                const uint32_t len = job.input.lengths[b];
+                // The gathered rows are scattered over tables far larger
+                // than the cache: fetch the next bag's rows while this
+                // one pools.
+                if (b + 1 < shard.bag_end) {
+                    const int64_t* next = indices + offset + len;
+                    for (uint32_t k = 0; k < job.input.lengths[b + 1]; k++) {
+                        job.table->PrefetchRow(next[k]);
+                    }
+                }
+                job.table->PoolRows(indices + offset, len, job.out->Row(b));
+                offset += len;
+            }
+            bags += shard.bag_end - shard.bag_begin;
+        }
+        pool_calls.Add(bags);
+    });
+}
+
+void
 EmbeddingBagCollection::Forward(std::span<const TableInput> inputs,
                                 size_t batch,
                                 std::vector<Matrix>& outputs) const
@@ -58,15 +121,12 @@ EmbeddingBagCollection::Forward(std::span<const TableInput> inputs,
     NEO_REQUIRE(inputs.size() == tables_.size(),
                 "one input per table required");
     outputs.resize(tables_.size());
-    // Serial pass: validate inputs, size outputs, and carve the fused
-    // (table x batch) iteration space into shards. Offsets into the
-    // combined indices are prefix sums of lengths, so they are computed
-    // here once and each shard starts from a known position.
-    std::vector<ForwardShard> shards;
+    std::vector<PoolingJob> jobs;
+    jobs.reserve(tables_.size());
     for (size_t t = 0; t < tables_.size(); t++) {
         const EmbeddingTable& table = tables_[t];
-        const TableInput& in = inputs[t];
-        NEO_REQUIRE(in.lengths.size() == batch, "lengths size mismatch");
+        NEO_REQUIRE(inputs[t].lengths.size() == batch,
+                    "lengths size mismatch");
         Matrix& out = outputs[t];
         if (out.rows() != batch ||
             out.cols() != static_cast<size_t>(table.dim())) {
@@ -74,44 +134,9 @@ EmbeddingBagCollection::Forward(std::span<const TableInput> inputs,
         } else {
             out.Zero();
         }
-        size_t offset = 0;
-        for (size_t b = 0; b < batch; b++) {
-            if (b % kForwardBatchGrain == 0) {
-                shards.push_back(
-                    {t, b, std::min(b + kForwardBatchGrain, batch), offset});
-            }
-            const uint32_t len = in.lengths[b];
-            NEO_CHECK(offset + len <= in.indices.size(),
-                      "indices shorter than lengths imply");
-            offset += len;
-        }
-        NEO_CHECK(offset == in.indices.size(),
-                  "indices longer than lengths imply");
+        jobs.push_back({&table, inputs[t], &out});
     }
-    // Fused parallel loop over all local tables (the CPU analogue of the
-    // single batched CUDA kernel in Fig. 7). Shards write disjoint output
-    // rows and only read table parameters, so any thread count produces
-    // the serial result bit-for-bit. Each bag pools through the active
-    // SIMD kernel tier's fused gather+accumulate.
-    static obs::Counter& pool_calls =
-        obs::MetricsRegistry::Get().GetCounter("neo.kernels.pool_calls");
-    ParallelFor(0, shards.size(), 1, [&](size_t s0, size_t s1) {
-        uint64_t bags = 0;
-        for (size_t s = s0; s < s1; s++) {
-            const ForwardShard& shard = shards[s];
-            const EmbeddingTable& table = tables_[shard.table];
-            const TableInput& in = inputs[shard.table];
-            Matrix& out = outputs[shard.table];
-            size_t offset = shard.index_offset;
-            for (size_t b = shard.batch_begin; b < shard.batch_end; b++) {
-                const uint32_t len = in.lengths[b];
-                table.PoolRows(in.indices.data() + offset, len, out.Row(b));
-                offset += len;
-            }
-            bags += shard.batch_end - shard.batch_begin;
-        }
-        pool_calls.Add(bags);
-    });
+    PoolBags(jobs);
 }
 
 void

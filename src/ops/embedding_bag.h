@@ -30,6 +30,25 @@ struct TableInput {
     std::span<const int64_t> indices;
 };
 
+/**
+ * One table's share of a fused pooled lookup: bag b sums the rows its run
+ * of `input.indices` names into out->Row(b).
+ */
+struct PoolingJob {
+    const EmbeddingTable* table;
+    TableInput input;
+    Matrix* out;
+};
+
+/**
+ * Fused sum pooling of every job in one ParallelFor over (job x 64-bag)
+ * shards, each bag through EmbeddingTable::PoolRows. Accumulates into the
+ * outputs, which must already be input.lengths.size() x table->dim().
+ * Shards write disjoint output rows, so the result is bitwise the serial
+ * per-occurrence AccumulateRow(weight 1) loop at any thread count.
+ */
+void PoolBags(std::span<const PoolingJob> jobs);
+
 /** Shape/precision spec for one table in a collection. */
 struct TableSpec {
     int64_t rows = 0;

@@ -134,6 +134,25 @@ EmbeddingTable::PoolRows(const int64_t* indices, size_t count,
     }
 }
 
+void
+EmbeddingTable::PrefetchRow(int64_t row) const
+{
+    // Callers may hint rows they have not validated yet.
+    if (row < 0 || row >= rows_) {
+        return;
+    }
+    const size_t base = static_cast<size_t>(row) * dim_;
+    const char* bytes =
+        precision_ == Precision::kFp32
+            ? reinterpret_cast<const char*>(data_f32_.data() + base)
+            : reinterpret_cast<const char*>(data_f16_.data() + base);
+    const size_t size = static_cast<size_t>(dim_) *
+                        BytesPerElement(precision_);
+    for (size_t offset = 0; offset < size; offset += 64) {
+        __builtin_prefetch(bytes + offset);
+    }
+}
+
 bool
 EmbeddingTable::Identical(const EmbeddingTable& a, const EmbeddingTable& b)
 {

@@ -73,6 +73,12 @@ class EmbeddingTable
      */
     void PoolRows(const int64_t* indices, size_t count, float* out) const;
 
+    /**
+     * Hint the cache to fetch row `row`. A memory-latency aid for loops
+     * over scattered rows; no effect on any result.
+     */
+    void PrefetchRow(int64_t row) const;
+
     /** Exact bitwise equality of stored parameters (determinism tests). */
     static bool Identical(const EmbeddingTable& a, const EmbeddingTable& b);
 

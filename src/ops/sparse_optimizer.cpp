@@ -14,10 +14,72 @@ namespace neo::ops {
 namespace {
 
 /**
- * Unique-row groups per ApplyExact chunk. Fixed (thread-count-independent)
- * chunking; below one chunk the update runs serially.
+ * Most unique-row groups per ApplyExact chunk. Below one chunk the update
+ * runs serially.
  */
 constexpr size_t kExactGroupGrain = 64;
+
+/**
+ * Occurrences after which an ApplyExact chunk closes early, so a hot row
+ * with thousands of duplicates does not serialise 63 other groups behind
+ * it.
+ */
+constexpr size_t kExactOccurrenceGrain = 256;
+
+/** Groups ahead of the current one whose table row is prefetched. */
+constexpr size_t kExactPrefetchDistance = 2;
+
+/** Radix digit width of the row sort: 2^11 counters per pass. */
+constexpr int kRadixBits = 11;
+constexpr size_t kRadixBuckets = size_t{1} << kRadixBits;
+
+/** Duplicate occurrences of one row that share a gradient pointer. */
+struct GradRun {
+    const float* grad;
+    size_t count;
+};
+
+/**
+ * Stable LSD radix sort of `in` by row id into `out`, one pass per 11-bit
+ * digit of `max_row` (no pass at all when every row is 0). Every row must
+ * lie in [0, max_row]. `scratch` is the second ping-pong buffer.
+ */
+void
+RadixSortByRow(std::span<const SparseGradRef> in, uint64_t max_row,
+               std::vector<SparseGradRef>& out,
+               std::vector<SparseGradRef>& scratch)
+{
+    size_t passes = 0;
+    while (passes * kRadixBits < 64 && (max_row >> (passes * kRadixBits))) {
+        passes++;
+    }
+    out.assign(in.begin(), in.end());
+    // One read pass fills every digit's histogram.
+    std::vector<uint32_t> counts(passes * kRadixBuckets, 0);
+    for (const SparseGradRef& ref : in) {
+        const uint64_t key = static_cast<uint64_t>(ref.row);
+        for (size_t p = 0; p < passes; p++) {
+            counts[p * kRadixBuckets +
+                   ((key >> (p * kRadixBits)) & (kRadixBuckets - 1))]++;
+        }
+    }
+    scratch.resize(in.size());
+    for (size_t p = 0; p < passes; p++) {
+        uint32_t* bucket = counts.data() + p * kRadixBuckets;
+        uint32_t offset = 0;
+        for (size_t b = 0; b < kRadixBuckets; b++) {
+            const uint32_t c = bucket[b];
+            bucket[b] = offset;
+            offset += c;
+        }
+        const unsigned shift = static_cast<unsigned>(p * kRadixBits);
+        for (const SparseGradRef& ref : out) {
+            const uint64_t key = static_cast<uint64_t>(ref.row);
+            scratch[bucket[(key >> shift) & (kRadixBuckets - 1)]++] = ref;
+        }
+        out.swap(scratch);
+    }
+}
 
 }  // namespace
 
@@ -202,75 +264,121 @@ SparseOptimizer::ApplyExact(EmbeddingTable& table,
     NEO_TRACE_SPAN("sparse_apply_exact", "emb_bwd");
     NEO_REQUIRE(table.rows() == rows_ && table.dim() == dim_,
                 "optimizer/table shape mismatch");
-    if (grads.empty()) {
-        return;
-    }
+    PlanExact(grads);
 
-    // Stable sort of occurrence positions by row id. Stability plus the
-    // commutative merge (sum in sorted-position order) makes the final
-    // result invariant to the original occurrence order.
-    order_.resize(grads.size());
-    for (uint32_t i = 0; i < grads.size(); i++) {
-        order_[i] = i;
-    }
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return grads[a].row < grads[b].row;
-                     });
-
-    // Scan the sorted occurrences once (serially) to find the unique-row
-    // group boundaries and validate row ids.
-    group_starts_.clear();
-    size_t i = 0;
-    while (i < order_.size()) {
-        const int64_t row = grads[order_[i]].row;
-        NEO_CHECK(row >= 0 && row < rows_, "gradient row out of range");
-        group_starts_.push_back(i);
-        size_t j = i;
-        while (j < order_.size() && grads[order_[j]].row == row) {
-            j++;
-        }
-        i = j;
-    }
-    group_starts_.push_back(order_.size());
-
-    // Apply groups in parallel: each group owns one table row and its
-    // optimizer state, groups are disjoint, and the per-group merge order
-    // is fixed by the global sort — bit-identical at any thread count.
-    const size_t d = static_cast<size_t>(dim_);
-    const size_t num_groups = group_starts_.size() - 1;
+    // Apply the chunks in parallel: each group owns one table row and
+    // its optimizer state, groups are disjoint, and each group's merge
+    // order is canonical — bit-identical at any thread count.
     static obs::Counter& update_calls =
         obs::MetricsRegistry::Get().GetCounter(
             "neo.kernels.sparse_update_calls");
-    update_calls.Add(num_groups);
-    const kernels::KernelTable& kt = kernels::Active();
-    ParallelFor(0, num_groups, kExactGroupGrain, [&](size_t g0, size_t g1) {
-        std::vector<float> merged(d);
-        std::vector<float> row_buf(d);
-        for (size_t g = g0; g < g1; g++) {
-            const size_t s = group_starts_[g];
-            const size_t e = group_starts_[g + 1];
-            const int64_t row = grads[order_[s]].row;
-            if (e - s > 1) {
-                // Floating-point sums depend on order, so canonicalize the
-                // duplicate occurrences (lexicographic by gradient values)
-                // before merging; the merged sum is then invariant to any
-                // permutation of the input batch. The sort touches only
-                // this group's order_ subrange, disjoint across groups.
-                std::sort(order_.begin() + s, order_.begin() + e,
-                          [&](uint32_t a, uint32_t b) {
-                              return std::lexicographical_compare(
-                                  grads[a].grad, grads[a].grad + d,
-                                  grads[b].grad, grads[b].grad + d);
-                          });
-            }
-            std::fill(merged.begin(), merged.end(), 0.0f);
-            for (size_t k = s; k < e; k++) {
-                kt.add_f32(grads[order_[k]].grad, merged.data(), d);
-            }
-            UpdateRow(table, row, merged.data(), row_buf.data());
+    update_calls.Add(group_starts_.size() - 1);
+    ParallelFor(0, chunk_starts_.size() - 1, 1, [&](size_t c0, size_t c1) {
+        for (size_t c = c0; c < c1; c++) {
+            ApplyExactChunk(table, c);
         }
     });
+}
+
+void
+SparseOptimizer::PlanExact(std::span<const SparseGradRef> grads)
+{
+    group_starts_.clear();
+    chunk_starts_.assign(1, 0);
+
+    // Validate every row before anything is written, so a bad batch
+    // leaves the table and the optimizer state untouched.
+    int64_t max_row = 0;
+    for (const SparseGradRef& ref : grads) {
+        NEO_REQUIRE(ref.row >= 0 && ref.row < rows_,
+                    "gradient row ", ref.row, " out of range [0, ", rows_,
+                    ")");
+        max_row = std::max(max_row, ref.row);
+    }
+
+    // Stable sort of the occurrences by row id. Stability plus the
+    // canonical per-group merge makes the final result invariant to the
+    // original occurrence order.
+    RadixSortByRow(grads, static_cast<uint64_t>(max_row), sorted_,
+                   radix_scratch_);
+
+    // One scan reads the unique-row groups off the sorted keys and cuts
+    // them into chunks of at most kExactGroupGrain groups, closing a
+    // chunk early once it holds kExactOccurrenceGrain occurrences. The
+    // cut depends only on the batch, never on the thread count.
+    size_t chunk_groups = 0;
+    size_t chunk_occurrences = 0;
+    for (size_t i = 0; i < sorted_.size();) {
+        size_t j = i + 1;
+        while (j < sorted_.size() && sorted_[j].row == sorted_[i].row) {
+            j++;
+        }
+        if (chunk_groups == kExactGroupGrain ||
+            chunk_occurrences >= kExactOccurrenceGrain) {
+            chunk_starts_.push_back(group_starts_.size());
+            chunk_groups = 0;
+            chunk_occurrences = 0;
+        }
+        group_starts_.push_back(i);
+        chunk_groups++;
+        chunk_occurrences += j - i;
+        i = j;
+    }
+    chunk_starts_.push_back(group_starts_.size());
+    group_starts_.push_back(sorted_.size());
+}
+
+void
+SparseOptimizer::ApplyExactChunk(EmbeddingTable& table, size_t chunk)
+{
+    const size_t d = static_cast<size_t>(dim_);
+    const kernels::KernelTable& kt = kernels::Active();
+    std::vector<float> merged(d);
+    std::vector<float> row_buf(d);
+    std::vector<GradRun> runs;
+    const size_t end = chunk_starts_[chunk + 1];
+    for (size_t g = chunk_starts_[chunk]; g < end; g++) {
+        // The rows are scattered over a table far larger than the cache:
+        // fetch a later group's row while this one merges.
+        if (g + kExactPrefetchDistance < end) {
+            table.PrefetchRow(
+                sorted_[group_starts_[g + kExactPrefetchDistance]].row);
+        }
+        const size_t s = group_starts_[g];
+        const size_t e = group_starts_[g + 1];
+        // Floating-point sums depend on order, so the duplicates are
+        // merged in lexicographic order of their gradient values, which
+        // no permutation of the batch can change. Occurrences that share
+        // a gradient pointer (one bag naming a row twice) sit next to each
+        // other after the stable sort; they collapse into one (pointer,
+        // count) run before the sort. Equal pointers hold equal values,
+        // so the add sequence is the one a sort of the single occurrences
+        // gives.
+        runs.clear();
+        for (size_t k = s; k < e;) {
+            const float* grad = sorted_[k].grad;
+            size_t count = 1;
+            while (k + count < e && sorted_[k + count].grad == grad) {
+                count++;
+            }
+            runs.push_back({grad, count});
+            k += count;
+        }
+        if (runs.size() > 1) {
+            std::sort(runs.begin(), runs.end(),
+                      [d](const GradRun& a, const GradRun& b) {
+                          return std::lexicographical_compare(
+                              a.grad, a.grad + d, b.grad, b.grad + d);
+                      });
+        }
+        std::fill(merged.begin(), merged.end(), 0.0f);
+        for (const GradRun& run : runs) {
+            for (size_t k = 0; k < run.count; k++) {
+                kt.add_f32(run.grad, merged.data(), d);
+            }
+        }
+        UpdateRow(table, sorted_[s].row, merged.data(), row_buf.data());
+    }
 }
 
 void

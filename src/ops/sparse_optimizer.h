@@ -69,10 +69,14 @@ class SparseOptimizer
     /**
      * Exact fused update: sort + merge duplicate rows, then apply one
      * optimizer step per unique row. Deterministic and order-invariant.
-     * Unique-row groups are applied in parallel over the shared pool —
-     * groups touch disjoint table rows and disjoint optimizer state, and
-     * each group's merge order is fixed by the global sort, so the result
-     * is bit-identical to the serial path at any thread count.
+     * A stable radix sort groups the occurrences by row; each group
+     * merges its duplicates in lexicographic order of their gradient
+     * values. Groups are applied in parallel over the shared pool, in
+     * chunks cut by group and occurrence count — groups touch disjoint
+     * table rows and disjoint optimizer state, so the result is
+     * bit-identical to the serial path at any thread count. Throws, with
+     * the table and the optimizer state untouched, if any row is out of
+     * range.
      */
     void ApplyExact(EmbeddingTable& table,
                     std::span<const SparseGradRef> grads);
@@ -109,6 +113,16 @@ class SparseOptimizer
 
   private:
     /**
+     * Validate `grads`, radix-sort them by row into sorted_ and cut the
+     * unique-row groups into chunks (group_starts_, chunk_starts_).
+     * Writes only that scratch; throws if a row is out of range.
+     */
+    void PlanExact(std::span<const SparseGradRef> grads);
+
+    /** Merge and apply the groups of planned chunk `chunk`. */
+    void ApplyExactChunk(EmbeddingTable& table, size_t chunk);
+
+    /**
      * Apply one merged-gradient step to a single row. `row_buf` is a
      * dim-sized scratch for the widened row (per-thread in parallel use).
      */
@@ -129,8 +143,10 @@ class SparseOptimizer
     std::vector<uint32_t> adam_step_;
 
     /** Scratch reused across calls to avoid per-step allocation churn. */
-    std::vector<uint32_t> order_;
+    std::vector<SparseGradRef> sorted_;
+    std::vector<SparseGradRef> radix_scratch_;
     std::vector<size_t> group_starts_;
+    std::vector<size_t> chunk_starts_;
     std::vector<float> row_buf_;
 };
 

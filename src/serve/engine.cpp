@@ -7,6 +7,7 @@
 #include "common/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ops/embedding_bag.h"
 
 namespace neo::serve {
 
@@ -145,9 +146,9 @@ InferenceEngine::Forward(
     std::vector<Matrix> pooled;
     {
         NEO_TRACE_SPAN("serve_emb_forward", "emb_fwd");
+        std::vector<ops::PoolingJob> jobs;
         for (size_t i = 0; i < st.local_shards.size(); i++) {
             const auto& shard = *st.local_shards[i];
-            const size_t d = static_cast<size_t>(shard.meta.NumCols());
             const auto& input = shard_inputs[i];
             NEO_CHECK(input.batch == b_global,
                       "shard input batch mismatch");
@@ -157,36 +158,22 @@ InferenceEngine::Forward(
                                           out);
                 continue;
             }
-            out = Matrix(b_global, d);
-            const auto lens = input.LengthsForTable(0);
-            const auto idx = input.IndicesForTable(0);
-            size_t offset = 0;
-            for (size_t b = 0; b < b_global; b++) {
-                float* row = out.Row(b);
-                for (uint32_t k = 0; k < lens[b]; k++) {
-                    shard.table.AccumulateRow(idx[offset + k], 1.0f, row);
-                }
-                offset += lens[b];
-            }
+            out = Matrix(b_global,
+                         static_cast<size_t>(shard.meta.NumCols()));
+            jobs.push_back({&shard.table, input.InputForTable(0), &out});
         }
+        ops::PoolBags(jobs);
         st.router->ExchangePooled(shard_pooled, b_local,
                                   options_.forward_alltoall, pooled);
 
         // Replicated DP tables pool the local slice directly.
+        jobs.clear();
         for (const auto& dp : st.snapshot->dp_tables) {
-            Matrix& out = pooled[static_cast<size_t>(dp.table)];
-            const auto input = local_sparse.InputForTable(
-                static_cast<size_t>(dp.table));
-            size_t offset = 0;
-            for (size_t b = 0; b < b_local; b++) {
-                float* row = out.Row(b);
-                for (uint32_t k = 0; k < input.lengths[b]; k++) {
-                    dp.replica.AccumulateRow(input.indices[offset + k],
-                                             1.0f, row);
-                }
-                offset += input.lengths[b];
-            }
+            const size_t t = static_cast<size_t>(dp.table);
+            jobs.push_back(
+                {&dp.replica, local_sparse.InputForTable(t), &pooled[t]});
         }
+        ops::PoolBags(jobs);
     }
 
     Matrix logits;

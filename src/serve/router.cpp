@@ -162,6 +162,17 @@ FleetRouter::Submit(Request request)
 }
 
 void
+FleetRouter::CountThenFulfil(Flight& flight, Response response,
+                             uint64_t Totals::*field)
+{
+    {
+        std::lock_guard<std::mutex> lock(totals_mutex_);
+        totals_.*field += 1;
+    }
+    flight.done.set_value(std::move(response));
+}
+
+void
 FleetRouter::QuarantineReplica(size_t replica_idx,
                                const std::string& reason)
 {
@@ -225,9 +236,8 @@ FleetRouter::PumpFlights()
                 Response response;
                 response.id = flight.request.id;
                 response.status = ResponseStatus::kFailed;
-                flight.done.set_value(std::move(response));
-                std::lock_guard<std::mutex> tlock(totals_mutex_);
-                totals_.failed++;
+                CountThenFulfil(flight, std::move(response),
+                                &Totals::failed);
                 it = flights_.erase(it);
                 continue;
             }
@@ -248,9 +258,8 @@ FleetRouter::PumpFlights()
                 replica = replicas_[flight.replica].get();
             }
             replica->health.RecordLatency(response.total_seconds);
-            flight.done.set_value(std::move(response));
-            std::lock_guard<std::mutex> tlock(totals_mutex_);
-            totals_.completed_ok++;
+            CountThenFulfil(flight, std::move(response),
+                            &Totals::completed_ok);
             it = flights_.erase(it);
             continue;
         }
@@ -269,9 +278,8 @@ FleetRouter::PumpFlights()
             metrics.GetCounter("neo.fleet.failovers").Add();
             if (flight.attempts >= options_.max_attempts) {
                 response.status = ResponseStatus::kFailed;
-                flight.done.set_value(std::move(response));
-                std::lock_guard<std::mutex> tlock(totals_mutex_);
-                totals_.failed++;
+                CountThenFulfil(flight, std::move(response),
+                                &Totals::failed);
                 it = flights_.erase(it);
                 continue;
             }

@@ -198,6 +198,13 @@ class FleetRouter
      * `replica_out`; admission != kAccepted when everyone refused.
      */
     Ticket TryDispatch(const Request& request, size_t* replica_out);
+    /**
+     * Count a terminal outcome in totals_.*field, then fulfil the
+     * flight's promise: a client never holds a response that totals()
+     * does not count yet.
+     */
+    void CountThenFulfil(Flight& flight, Response response,
+                         uint64_t Totals::*field);
     /** Move a replica to quarantine (idempotent) + record the event. */
     void QuarantineReplica(size_t replica, const std::string& reason);
     void PublishGauges();

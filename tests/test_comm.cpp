@@ -152,6 +152,43 @@ TEST_P(CollectiveTest, TypedAllToAllWrappers)
     });
 }
 
+TEST_P(CollectiveTest, TypedAllToAllEmptyPerRankBuffers)
+{
+    // Rank r sends dst (r + dst) % 2 elements: an empty vector to every
+    // other peer, itself included for even ranks. Empty buffers must
+    // round-trip as empty vectors for every element type.
+    const int world = GetParam();
+    ThreadedWorld::Run(world, [&](int rank, ProcessGroup& pg) {
+        std::vector<std::vector<float>> send_f(world);
+        std::vector<std::vector<uint32_t>> send_l(world);
+        std::vector<std::vector<int64_t>> send_i(world);
+        for (int dst = 0; dst < world; dst++) {
+            const size_t n = static_cast<size_t>((rank + dst) % 2);
+            send_f[dst].assign(n, 0.5f * rank + dst);
+            send_l[dst].assign(n, static_cast<uint32_t>(rank * 7 + dst));
+            send_i[dst].assign(n, -(rank * 100ll + dst));
+        }
+        std::vector<std::vector<float>> recv_f;
+        std::vector<std::vector<uint32_t>> recv_l;
+        std::vector<std::vector<int64_t>> recv_i;
+        pg.AllToAllFloats(send_f, recv_f);
+        pg.AllToAllLengths(send_l, recv_l);
+        pg.AllToAllIndices(send_i, recv_i);
+        ASSERT_EQ(recv_f.size(), static_cast<size_t>(world));
+        ASSERT_EQ(recv_l.size(), static_cast<size_t>(world));
+        ASSERT_EQ(recv_i.size(), static_cast<size_t>(world));
+        for (int src = 0; src < world; src++) {
+            const size_t n = static_cast<size_t>((src + rank) % 2);
+            EXPECT_EQ(recv_f[src], std::vector<float>(n, 0.5f * src + rank));
+            EXPECT_EQ(recv_l[src],
+                      std::vector<uint32_t>(
+                          n, static_cast<uint32_t>(src * 7 + rank)));
+            EXPECT_EQ(recv_i[src],
+                      std::vector<int64_t>(n, -(src * 100ll + rank)));
+        }
+    });
+}
+
 INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectiveTest,
                          ::testing::Values(1, 2, 3, 4, 8));
 

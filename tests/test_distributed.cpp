@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "comm/fault.h"
 #include "comm/threaded_process_group.h"
+#include "common/parallel_for.h"
 #include "core/checkpoint.h"
 #include "core/distributed_trainer.h"
 #include "core/dlrm_config.h"
@@ -20,6 +24,8 @@
 #include "core/elastic.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
+#include "serve/engine.h"
+#include "serve/snapshot.h"
 #include "sharding/planner.h"
 
 namespace neo {
@@ -293,6 +299,129 @@ TEST(Distributed, RunToRunBitwiseDeterminism)
     const Matrix run1 = TrainDistributed(model, plan, workers, 4, 32);
     const Matrix run2 = TrainDistributed(model, plan, workers, 4, 32);
     EXPECT_TRUE(Matrix::Identical(run1, run2));
+}
+
+/** Rank `rank`'s slice of a global batch. */
+data::Batch
+LocalSlice(const data::Batch& global, int rank, size_t local_batch)
+{
+    data::Batch local;
+    local.dense = Matrix(local_batch, global.dense.cols());
+    for (size_t b = 0; b < local_batch; b++) {
+        for (size_t c = 0; c < global.dense.cols(); c++) {
+            local.dense(b, c) = global.dense(rank * local_batch + b, c);
+        }
+    }
+    local.sparse = global.sparse.SliceBatch(rank * local_batch,
+                                            (rank + 1) * local_batch);
+    local.labels.assign(global.labels.begin() + rank * local_batch,
+                        global.labels.begin() + (rank + 1) * local_batch);
+    return local;
+}
+
+/**
+ * The embedding forward (fused pooled lookup) and the exact sparse
+ * update run on the intra-op pool. A 2-rank trainer must produce the
+ * same losses, tables and predictions bit for bit at pool sizes 1, 2 and
+ * 7, for table-wise, row-wise, column-wise and data-parallel shards, and
+ * the model served from its snapshot must score bitwise like Predict.
+ */
+TEST(Distributed, PoolSizesGiveBitwiseIdenticalTraining)
+{
+    // Batches big enough for several 64-bag lookup shards and several
+    // update chunks per table.
+    const DlrmConfig model = core::MakeSmallDlrmConfig(4, 600, 16);
+    const int workers = 2;
+    const size_t global_batch = 384;
+    const size_t local_batch = global_batch / workers;
+
+    struct Run {
+        std::vector<double> losses;
+        std::vector<std::vector<ops::EmbeddingTable>> tables;
+        Matrix logits;
+        std::vector<float> served;
+    };
+    const auto train = [&](const sharding::ShardingPlan& plan,
+                           size_t threads) {
+        SetDefaultPoolThreads(threads);
+        Run run;
+        run.tables.resize(workers);
+        run.logits = Matrix(global_batch, 1);
+        std::shared_ptr<const serve::ModelSnapshot> snap;
+        data::SyntheticCtrDataset eval_stream(MakeDataConfig(model, 7));
+        const data::Batch eval = eval_stream.NextBatch(global_batch);
+        comm::ThreadedWorld::Run(
+            workers, [&](int rank, comm::ProcessGroup& pg) {
+                DistributedDlrm trainer(model, plan, pg);
+                data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+                for (int s = 0; s < 4; s++) {
+                    const double loss = trainer.TrainStep(LocalSlice(
+                        dataset.NextBatch(global_batch), rank, local_batch));
+                    if (rank == 0) {
+                        run.losses.push_back(loss);
+                    }
+                }
+                for (size_t i = 0; i < trainer.NumLocalShards(); i++) {
+                    run.tables[rank].push_back(trainer.local_shard(i).table);
+                }
+                for (size_t i = 0; i < trainer.NumDpTables(); i++) {
+                    run.tables[rank].push_back(trainer.dp_table(i).replica);
+                }
+                Matrix logits;
+                trainer.Predict(LocalSlice(eval, rank, local_batch), logits);
+                for (size_t b = 0; b < local_batch; b++) {
+                    run.logits(rank * local_batch + b, 0) = logits(b, 0);
+                }
+                auto cut = serve::SnapshotFromTrainer(trainer, plan, 1);
+                if (rank == 0) {
+                    snap = cut;
+                }
+            });
+        comm::ThreadedWorld::Run(
+            workers, [&](int rank, comm::ProcessGroup& pg) {
+                serve::InferenceEngine engine(serve::EngineOptions{}, pg);
+                std::vector<float> out;
+                engine.Forward(snap, eval.dense, eval.sparse, out);
+                if (rank == 0) {
+                    run.served = out;
+                }
+            });
+        return run;
+    };
+
+    const std::vector<std::pair<std::string, sharding::ShardingPlan>> plans =
+        {{"planner", MakePlan(model, workers, true, true, true)},
+         {"row-wise", ForcedPlan(model, workers, sharding::Scheme::kRowWise)},
+         {"column-wise",
+          ForcedPlan(model, workers, sharding::Scheme::kColumnWise)},
+         {"data-parallel",
+          ForcedPlan(model, workers, sharding::Scheme::kDataParallel)}};
+    for (const auto& [name, plan] : plans) {
+        ASSERT_TRUE(plan.feasible) << name;
+        const Run serial = train(plan, 1);
+        for (size_t b = 0; b < global_batch; b++) {
+            ASSERT_EQ(serial.served[b], serial.logits(b, 0))
+                << name << ": served sample " << b;
+        }
+        for (const size_t threads : {size_t{2}, size_t{7}}) {
+            const Run run = train(plan, threads);
+            SCOPED_TRACE(::testing::Message()
+                         << name << " threads=" << threads);
+            EXPECT_EQ(run.losses, serial.losses);
+            for (int rank = 0; rank < workers; rank++) {
+                ASSERT_EQ(run.tables[rank].size(),
+                          serial.tables[rank].size());
+                for (size_t t = 0; t < run.tables[rank].size(); t++) {
+                    EXPECT_TRUE(ops::EmbeddingTable::Identical(
+                        run.tables[rank][t], serial.tables[rank][t]))
+                        << "rank " << rank << " table " << t;
+                }
+            }
+            EXPECT_TRUE(Matrix::Identical(run.logits, serial.logits));
+            EXPECT_EQ(run.served, serial.served);
+        }
+    }
+    SetDefaultPoolThreads(DefaultParallelism());
 }
 
 TEST(Distributed, DifferentWorkerCountsAgreeClosely)

@@ -632,6 +632,62 @@ TEST(Fleet, TransientFailureRecoversInPlace)
 }
 
 // ---------------------------------------------------------------------
+// Counters never lag the responses they count
+// ---------------------------------------------------------------------
+
+/** The router counts an outcome before it fulfils the promise, so the
+ *  moment a client holds a kOk response, totals() already includes it —
+ *  whether the client waits on each request alone or on a burst. */
+TEST(Fleet, CompletedCountNeverLagsResponses)
+{
+    const int workers = 2;
+    TrainedVersions trained = TrainVersions(workers, /*versions=*/1);
+    serve::ServerOptions sopts;
+    sopts.batcher.max_batch = 8;
+    sopts.batcher.max_delay_us = 100;
+    serve::ReplicaHost host(trained.model.num_dense,
+                            trained.model.tables.size(), workers, sopts);
+    host.server().Publish(trained.snaps[1]);
+    serve::FleetRouter router;
+    router.AddReplica("solo", &host.server(), &host.world());
+
+    const size_t global_batch = trained.eval.dense.rows();
+    uint64_t id = 0;
+    uint64_t received = 0;
+    const auto receive = [&](serve::Ticket& ticket) {
+        const serve::Response response = ticket.response.get();
+        ASSERT_EQ(response.status, serve::ResponseStatus::kOk);
+        received++;
+        EXPECT_GE(router.totals().completed_ok, received)
+            << "after response " << response.id;
+    };
+    for (int i = 0; i < 100; i++) {
+        serve::Ticket ticket =
+            router.Submit(RequestFor(trained.eval, id % global_batch, id));
+        id++;
+        ASSERT_EQ(ticket.admission, serve::Admission::kAccepted);
+        receive(ticket);
+    }
+    for (int burst = 0; burst < 10; burst++) {
+        std::vector<serve::Ticket> tickets;
+        for (int i = 0; i < 16; i++) {
+            tickets.push_back(router.Submit(
+                RequestFor(trained.eval, id % global_batch, id)));
+            id++;
+            ASSERT_EQ(tickets.back().admission,
+                      serve::Admission::kAccepted);
+        }
+        for (auto& ticket : tickets) {
+            receive(ticket);
+        }
+    }
+    EXPECT_EQ(router.totals().completed_ok, received);
+
+    router.Stop();
+    host.Stop();
+}
+
+// ---------------------------------------------------------------------
 // Conservative failure knobs surface as replica-unhealthy, not hangs
 // ---------------------------------------------------------------------
 

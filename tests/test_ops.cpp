@@ -9,8 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
+#include "common/parallel_for.h"
 #include "common/rng.h"
+#include "kernels/kernels.h"
 #include "ops/dense_optimizer.h"
 #include "ops/embedding_bag.h"
 #include "ops/embedding_table.h"
@@ -702,6 +706,227 @@ TEST(SparseOptimizer, ExportImportRowStateResumesBitIdentically)
         o1.ApplyExact(t1, MakeRefs({7, 11, 13}, g2));
         o2.ApplyExact(t2, MakeRefs({7, 11, 13}, g2));
         EXPECT_TRUE(EmbeddingTable::Identical(t1, t2));
+    }
+}
+
+// ------------------------------------------- ApplyExact vs a reference
+
+/**
+ * Reference exact update, kept here as the specification ApplyExact must
+ * match bit for bit: stable_sort of the occurrences by row, a
+ * lexicographic sort of each row's duplicates by gradient value, a
+ * sequential add_f32 merge into zeros, then one optimizer step per
+ * unique row in row order (ApplyNaive over one merged gradient per row).
+ */
+void
+ReferenceApplyExact(SparseOptimizer& opt, EmbeddingTable& table,
+                    std::span<const SparseGradRef> grads)
+{
+    const size_t d = static_cast<size_t>(table.dim());
+    std::vector<uint32_t> order(grads.size());
+    for (uint32_t i = 0; i < grads.size(); i++) {
+        order[i] = i;
+    }
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return grads[a].row < grads[b].row;
+    });
+    const kernels::KernelTable& kt = kernels::Active();
+    std::vector<std::vector<float>> merged;
+    std::vector<SparseGradRef> unique;
+    for (size_t s = 0; s < order.size();) {
+        size_t e = s;
+        while (e < order.size() && grads[order[e]].row == grads[order[s]].row) {
+            e++;
+        }
+        std::sort(order.begin() + s, order.begin() + e,
+                  [&](uint32_t a, uint32_t b) {
+                      return std::lexicographical_compare(
+                          grads[a].grad, grads[a].grad + d, grads[b].grad,
+                          grads[b].grad + d);
+                  });
+        std::vector<float> sum(d, 0.0f);
+        for (size_t k = s; k < e; k++) {
+            kt.add_f32(grads[order[k]].grad, sum.data(), d);
+        }
+        merged.push_back(std::move(sum));
+        unique.push_back({grads[order[s]].row, nullptr});
+        s = e;
+    }
+    for (size_t u = 0; u < unique.size(); u++) {
+        unique[u].grad = merged[u].data();
+    }
+    opt.ApplyNaive(table, unique);
+}
+
+/** Every row's optimizer state is bitwise equal. */
+bool
+StatesIdentical(const SparseOptimizer& a, const SparseOptimizer& b,
+                int64_t rows)
+{
+    const size_t n = a.StateFloatsPerRow();
+    std::vector<float> sa(n), sb(n);
+    for (int64_t r = 0; r < rows; r++) {
+        a.ExportRowState(r, sa.data());
+        b.ExportRowState(r, sb.data());
+        if (std::memcmp(sa.data(), sb.data(), n * sizeof(float)) != 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * A Zipf bag batch: `bags` gradient rows and ~`pooling` occurrences per
+ * bag drawn Zipf(1.2), so the hottest row takes about a quarter of them
+ * and bags name it more than once through the same gradient pointer.
+ * Every fifth bag's gradient copies an earlier bag's (equal values at
+ * distinct pointers, with the sign of a zero flipped), and the
+ * occurrences are optionally shuffled so shared pointers are no longer
+ * adjacent. Row rows-1 always occurs, so the radix sort runs every pass
+ * the table size implies.
+ */
+struct SkewedBatch {
+    Matrix grads;
+    std::vector<SparseGradRef> refs;
+    size_t hot_count = 0;
+};
+
+SkewedBatch
+MakeSkewedBatch(int64_t rows, int64_t dim, size_t bags, size_t pooling,
+                uint64_t seed, bool shuffle)
+{
+    Rng rng(seed);
+    SkewedBatch batch;
+    batch.grads = Matrix(bags, static_cast<size_t>(dim));
+    for (size_t b = 0; b < bags; b++) {
+        float* g = batch.grads.Row(b);
+        if (b % 5 == 4) {
+            std::copy_n(batch.grads.Row(b / 2), dim, g);
+            g[0] = g[0] == 0.0f ? -g[0] : g[0];
+        } else {
+            for (int64_t c = 0; c < dim; c++) {
+                g[c] = rng.NextUniform(-1.0f, 1.0f);
+            }
+            // A zero leading element makes ties reach later elements.
+            if (b % 7 == 0) {
+                g[0] = 0.0f;
+            }
+        }
+    }
+    // Zipf ranks map onto rows from the middle of the table, so the hot
+    // row is an interior one.
+    const ZipfSampler zipf(static_cast<uint64_t>(rows), 1.2);
+    const int64_t hot = rows / 2;
+    for (size_t b = 0; b < bags; b++) {
+        const size_t len = 1 + rng.NextBounded(2 * pooling);
+        for (size_t k = 0; k < len; k++) {
+            const int64_t row =
+                (static_cast<int64_t>(zipf.Sample(rng)) + hot) % rows;
+            batch.hot_count += row == hot;
+            batch.refs.push_back({row, batch.grads.Row(b)});
+        }
+    }
+    batch.refs.push_back({rows - 1, batch.grads.Row(0)});
+    if (shuffle) {
+        for (size_t i = batch.refs.size(); i > 1; i--) {
+            std::swap(batch.refs[i - 1], batch.refs[rng.NextBounded(i)]);
+        }
+    }
+    return batch;
+}
+
+constexpr SparseOptimizerKind kAllSparseKinds[] = {
+    SparseOptimizerKind::kSgd, SparseOptimizerKind::kAdaGrad,
+    SparseOptimizerKind::kRowWiseAdaGrad, SparseOptimizerKind::kAdam};
+
+TEST(SparseOptimizer, ApplyExactMatchesReferenceOnSkewedBatches)
+{
+    const int64_t rows = 600, dim = 16;
+    for (const SparseOptimizerKind kind : kAllSparseKinds) {
+        for (const Precision precision :
+             {Precision::kFp32, Precision::kFp16}) {
+            for (const size_t threads : {1, 2, 7}) {
+                SCOPED_TRACE(::testing::Message()
+                             << SparseOptimizerKindName(kind) << " fp"
+                             << (precision == Precision::kFp32 ? 32 : 16)
+                             << " threads=" << threads);
+                SetDefaultPoolThreads(threads);
+                SparseOptimizerConfig config;
+                config.kind = kind;
+                config.learning_rate = 0.05f;
+                EmbeddingTable ref_table(rows, dim, precision);
+                ref_table.InitDeterministic(17, 0, 0, dim);
+                EmbeddingTable table = ref_table;
+                SparseOptimizer ref_opt(config, rows, dim);
+                SparseOptimizer opt(config, rows, dim);
+                for (int step = 0; step < 3; step++) {
+                    const SkewedBatch batch = MakeSkewedBatch(
+                        rows, dim, 256, 20, 100 + step, step == 1);
+                    ASSERT_GT(batch.hot_count, 1000u);
+                    ReferenceApplyExact(ref_opt, ref_table, batch.refs);
+                    opt.ApplyExact(table, batch.refs);
+                    ASSERT_TRUE(EmbeddingTable::Identical(ref_table, table))
+                        << "step " << step;
+                    ASSERT_TRUE(StatesIdentical(ref_opt, opt, rows))
+                        << "step " << step;
+                }
+            }
+        }
+    }
+    SetDefaultPoolThreads(DefaultParallelism());
+}
+
+TEST(SparseOptimizer, ApplyExactMatchesReferenceAcrossRadixPasses)
+{
+    // Max row ids of 2, 2^11 and 2^22 need one, two and three 11-bit
+    // radix passes.
+    const int64_t dim = 2;
+    for (const int64_t rows :
+         {int64_t{3}, (int64_t{1} << 11) + 1, (int64_t{1} << 22) + 1}) {
+        for (const SparseOptimizerKind kind : kAllSparseKinds) {
+            SCOPED_TRACE(::testing::Message()
+                         << "rows=" << rows << " "
+                         << SparseOptimizerKindName(kind));
+            SparseOptimizerConfig config;
+            config.kind = kind;
+            EmbeddingTable ref_table(rows, dim);
+            EmbeddingTable table(rows, dim);
+            SparseOptimizer ref_opt(config, rows, dim);
+            SparseOptimizer opt(config, rows, dim);
+            const SkewedBatch batch =
+                MakeSkewedBatch(rows, dim, 300, 8, 7, /*shuffle=*/true);
+            ReferenceApplyExact(ref_opt, ref_table, batch.refs);
+            opt.ApplyExact(table, batch.refs);
+            EXPECT_TRUE(EmbeddingTable::Identical(ref_table, table));
+            EXPECT_TRUE(StatesIdentical(ref_opt, opt, rows));
+        }
+    }
+}
+
+TEST(SparseOptimizer, ApplyExactRejectsOutOfRangeRowWithoutWriting)
+{
+    const int64_t rows = 64, dim = 4;
+    for (const SparseOptimizerKind kind : kAllSparseKinds) {
+        SCOPED_TRACE(SparseOptimizerKindName(kind));
+        SparseOptimizerConfig config;
+        config.kind = kind;
+        EmbeddingTable table(rows, dim);
+        table.InitDeterministic(3, 0, 0, dim);
+        SparseOptimizer opt(config, rows, dim);
+        // Give the optimizer state something to lose first.
+        opt.ApplyExact(table,
+                       MakeSkewedBatch(rows, dim, 32, 4, 1, false).refs);
+        const EmbeddingTable table_before = table;
+        const SparseOptimizer opt_before = opt;
+
+        for (const int64_t bad : {rows, int64_t{-1}}) {
+            SkewedBatch batch = MakeSkewedBatch(rows, dim, 32, 4, 2, false);
+            batch.refs.push_back({bad, batch.grads.Row(0)});
+            EXPECT_THROW(opt.ApplyExact(table, batch.refs),
+                         std::runtime_error);
+            EXPECT_TRUE(EmbeddingTable::Identical(table_before, table));
+            EXPECT_TRUE(StatesIdentical(opt_before, opt, rows));
+        }
     }
 }
 
