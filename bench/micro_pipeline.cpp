@@ -1,32 +1,33 @@
 /**
  * @file
- * Critical-path microbenchmark for the two overlap mechanisms of
- * Sec. 4.3/4.4: inter-batch input-AllToAll pipelining and async
- * double-buffered checkpointing. Runs the same 2-rank training-with-
- * checkpoints loop two ways —
+ * Critical-path microbenchmark for async double-buffered checkpointing
+ * (Sec. 4.4). Runs the same 2-rank training-with-checkpoints loop two
+ * ways, with the same unpipelined TrainStep input schedule on both
+ * sides —
  *
- *   sync:    unpipelined TrainStep + blocking WriteDelta every step
- *   overlap: overlapped PipelinedTrainer (prepare on a second
- *            communicator + dedicated lane) + AsyncCheckpointer
+ *   sync:  blocking WriteDelta after every step
+ *   async: AsyncCheckpointer (capture on the step thread, serialize and
+ *          append on a dedicated lane)
  *
  * — and fails unless every per-step loss is bit-identical and the two
  * checkpoint stores are byte-identical (taking work off the critical
- * path must not change what is computed or persisted). The overlapped
- * run is traced; StepBreakdown::FromSpans attributes background-thread
- * time that coincides with step windows as overlap_saved, which is
- * diffed against the sim::IterationModel's Eq.-1 prediction for the
- * same workload (overlap_input_comm + async_checkpoint knobs). Even on
- * a single CI core the span timeline shows the prepare/flush work
- * scheduled off the step thread, so measured overlap_saved stays > 0.
+ * path must not change what is computed or persisted). The async run is
+ * traced; StepBreakdown::FromSpans attributes flush-lane time that
+ * coincides with step windows as overlap_saved, which is diffed against
+ * the sim::IterationModel's Eq.-1 prediction for the same workload
+ * (async_checkpoint knob). Even on a single CI core the span timeline
+ * shows the flush work scheduled off the step thread, so measured
+ * overlap_saved stays > 0.
  *
  * Usage: micro_pipeline [--quick] [--out=PATH] [--trace-out=PATH]
  *   --quick      fewer steps / smaller model (smoke-test mode)
  *   --out        JSON output path (default BENCH_overlap.json in cwd)
- *   --trace-out  also write the overlapped run's Chrome trace JSON
+ *   --trace-out  also write the async run's Chrome trace JSON
  */
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -37,7 +38,6 @@
 #include "core/checkpoint.h"
 #include "core/distributed_trainer.h"
 #include "core/dlrm_config.h"
-#include "core/pipeline.h"
 #include "data/dataset.h"
 #include "kernels/kernels.h"
 #include "obs/step_breakdown.h"
@@ -86,10 +86,14 @@ struct RunResult {
     std::vector<std::vector<double>> losses;
 };
 
-/** Baseline: unpipelined steps, blocking delta write after each. */
+/**
+ * Unpipelined steps with a delta write after each: blocking, or through
+ * the async double-buffered lane.
+ */
 RunResult
-RunSync(const core::DlrmConfig& model, const sharding::ShardingPlan& plan,
-        size_t local_batch, int steps, core::CheckpointStore& store)
+RunSteps(const core::DlrmConfig& model, const sharding::ShardingPlan& plan,
+         size_t local_batch, int steps, core::CheckpointStore& store,
+         bool async)
 {
     RunResult result;
     result.losses.assign(kWorkers, {});
@@ -98,56 +102,28 @@ RunSync(const core::DlrmConfig& model, const sharding::ShardingPlan& plan,
                                            comm::ProcessGroup& pg) {
         core::DistributedDlrm trainer(model, plan, pg);
         core::DistributedCheckpointer checkpointer(trainer, store);
+        std::optional<core::AsyncCheckpointer> lane;
+        if (async) {
+            lane.emplace(checkpointer, rank);
+            lane->WriteBaseline();
+        } else {
+            checkpointer.WriteBaseline();
+        }
         data::SyntheticCtrDataset dataset(MakeDataConfig(model));
-        checkpointer.WriteBaseline();
         for (int s = 0; s < steps; s++) {
             const data::Batch local = Slice(
                 dataset.NextBatch(local_batch * kWorkers), rank,
                 local_batch);
             result.losses[rank].push_back(trainer.TrainStep(local));
-            checkpointer.WriteDelta();
-        }
-    });
-    result.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    return result;
-}
-
-/** Overlapped pipeline + async double-buffered checkpointing. */
-RunResult
-RunOverlapped(const core::DlrmConfig& model,
-              const sharding::ShardingPlan& plan, size_t local_batch,
-              int steps, core::CheckpointStore& store)
-{
-    RunResult result;
-    result.losses.assign(kWorkers, {});
-    comm::ThreadedWorld prepare_world(kWorkers);
-    const auto start = std::chrono::steady_clock::now();
-    comm::ThreadedWorld::Run(kWorkers, [&](int rank,
-                                           comm::ProcessGroup& pg) {
-        core::DistributedDlrm trainer(model, plan, pg);
-        core::PipelinedTrainer pipeline(trainer,
-                                        prepare_world.GetGroup(rank));
-        core::DistributedCheckpointer checkpointer(trainer, store);
-        core::AsyncCheckpointer async(checkpointer, rank);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
-        async.WriteBaseline();
-        for (int s = 0; s < steps; s++) {
-            const data::Batch local = Slice(
-                dataset.NextBatch(local_batch * kWorkers), rank,
-                local_batch);
-            if (auto loss = pipeline.Push(local)) {
-                result.losses[rank].push_back(*loss);
-                async.WriteDelta();
+            if (async) {
+                lane->WriteDelta();
+            } else {
+                checkpointer.WriteDelta();
             }
         }
-        if (auto loss = pipeline.Flush()) {
-            result.losses[rank].push_back(*loss);
-            async.WriteDelta();
+        if (async) {
+            lane->Flush();
         }
-        async.Flush();
     });
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -232,35 +208,38 @@ main(int argc, char** argv)
     const sharding::ShardingPlan plan =
         sharding::ShardingPlanner(planner_options).Plan(model.tables);
 
-    // ---- measured: sync baseline (untraced), then overlapped (traced)
+    // ---- measured: sync baseline (untraced), then async (traced)
     obs::Tracer::Get().SetEnabled(false);
     obs::Tracer::Get().Clear();
     std::unique_ptr<core::CheckpointStore> sync_store;
     const RunResult sync_run =
         BestOf(reps, sync_store, [&](core::CheckpointStore& store) {
-            return RunSync(model, plan, local_batch, steps, store);
+            return RunSteps(model, plan, local_batch, steps, store,
+                            /*async=*/false);
         });
 
     obs::Tracer::Get().SetEnabled(true);
-    std::unique_ptr<core::CheckpointStore> overlap_store;
-    const RunResult overlap_run =
-        BestOf(reps, overlap_store, [&](core::CheckpointStore& store) {
-            return RunOverlapped(model, plan, local_batch, steps, store);
+    std::unique_ptr<core::CheckpointStore> async_store;
+    const RunResult async_run =
+        BestOf(reps, async_store, [&](core::CheckpointStore& store) {
+            return RunSteps(model, plan, local_batch, steps, store,
+                            /*async=*/true);
         });
     obs::Tracer::Get().SetEnabled(false);
 
     // ---- correctness gates -------------------------------------------
     bool bit_identical = true;
     for (int r = 0; r < kWorkers; r++) {
-        bit_identical &= overlap_run.losses[r] == sync_run.losses[r];
+        bit_identical &= async_run.losses[r] == sync_run.losses[r];
     }
     if (!bit_identical) {
         std::fprintf(stderr,
-                     "FAIL: overlap changed the training result\n");
+                     "FAIL: async checkpointing changed the training "
+                     "result\n");
         return 1;
     }
     const bool stores_identical =
-        StoresByteIdentical(*sync_store, *overlap_store);
+        StoresByteIdentical(*sync_store, *async_store);
     if (!stores_identical) {
         std::fprintf(stderr,
                      "FAIL: async checkpointing changed the store\n");
@@ -270,21 +249,21 @@ main(int argc, char** argv)
     // ---- measured overlap from the span timeline ---------------------
     const std::vector<obs::Span> spans = obs::Tracer::Get().Collect();
     const obs::StepBreakdown measured = obs::StepBreakdown::FromSpans(
-        spans, /*rank=*/0, /*step_name=*/"pipeline_step");
+        spans, /*rank=*/0);
     if (measured.overlap_saved <= 0.0) {
         std::fprintf(stderr,
                      "FAIL: no background work coincided with any step "
-                     "window — prepare/flush ran on the critical path\n");
+                     "window — the flush ran on the critical path\n");
         return 1;
     }
 
     const double sync_step = sync_run.seconds / steps;
-    const double overlap_step = overlap_run.seconds / steps;
+    const double async_step = async_run.seconds / steps;
 
     // ---- modeled: the same workload through Eq. 1 --------------------
     // The functional run executes on simulated CPU workers, so absolute
     // modeled times differ by construction; the comparison is the SHAPE:
-    // which fraction of a step the overlap mechanisms take off the
+    // which fraction of a step async checkpointing takes off the
     // critical path. Checkpoint write bandwidth is calibrated from this
     // very run so the modeled sync-write term matches the measurement.
     sim::WorkloadModel workload;
@@ -328,31 +307,27 @@ main(int argc, char** argv)
     sync_model.SetFaultModel(faults);
     const sim::IterationBreakdown modeled_sync = sync_model.Estimate();
 
-    sim::TrainingSetup overlap_setup = setup;
-    overlap_setup.overlap_input_comm = true;
-    overlap_setup.async_checkpoint = true;
-    sim::IterationModel overlap_model(workload, overlap_setup);
-    overlap_model.SetFaultModel(faults);
-    const sim::IterationBreakdown modeled_overlap =
-        overlap_model.Estimate();
+    sim::TrainingSetup async_setup = setup;
+    async_setup.async_checkpoint = true;
+    sim::IterationModel async_model(workload, async_setup);
+    async_model.SetFaultModel(faults);
+    const sim::IterationBreakdown modeled_async = async_model.Estimate();
 
     const double measured_saved_frac =
-        measured.overlap_saved / overlap_step;
+        measured.overlap_saved / async_step;
     const double modeled_saved_frac =
-        modeled_overlap.total > 0.0
-            ? modeled_overlap.overlap_saved / modeled_overlap.total
+        modeled_async.total > 0.0
+            ? modeled_async.overlap_saved / modeled_async.total
             : 0.0;
 
     // ---- report ------------------------------------------------------
-    std::printf("== micro_pipeline: critical-path overlap "
+    std::printf("== micro_pipeline: async checkpointing "
                 "(%d steps, best of %d) ==\n\n",
                 steps, reps);
-    std::printf("sync (unpipelined + blocking ckpt): %.3f ms/step\n",
-                sync_step * 1e3);
-    std::printf("overlapped (pipeline + async ckpt): %.3f ms/step "
-                "(%+.2f%%)\n",
-                overlap_step * 1e3,
-                (overlap_step - sync_step) / sync_step * 100.0);
+    std::printf("sync  (blocking ckpt): %.3f ms/step\n", sync_step * 1e3);
+    std::printf("async (ckpt lane):     %.3f ms/step (%+.2f%%)\n",
+                async_step * 1e3,
+                (async_step - sync_step) / sync_step * 100.0);
     std::printf("losses bit-identical: %s; stores byte-identical: %s\n",
                 bit_identical ? "yes" : "NO",
                 stores_identical ? "yes" : "NO");
@@ -361,12 +336,12 @@ main(int argc, char** argv)
                 measured_saved_frac * 100.0);
     std::printf("modeled  overlap_saved: %.3f ms/step (%.1f%% of step, "
                 "A100 prototype)\n\n",
-                modeled_overlap.overlap_saved * 1e3,
+                modeled_async.overlap_saved * 1e3,
                 modeled_saved_frac * 100.0);
-    std::printf("measured (CPU workers) vs. modeled (overlap on):\n\n%s\n",
+    std::printf("measured (CPU workers) vs. modeled (async ckpt):\n\n%s\n",
                 obs::StepBreakdown::DiffTable(
                     measured,
-                    obs::StepBreakdown::FromModel(modeled_overlap))
+                    obs::StepBreakdown::FromModel(modeled_async))
                     .c_str());
 
     if (!trace_out.empty()) {
@@ -389,17 +364,17 @@ main(int argc, char** argv)
     std::fprintf(f, "  \"steps\": %d,\n", steps);
     std::fprintf(f, "  \"workers\": %d,\n", kWorkers);
     std::fprintf(f, "  \"sync_step_seconds\": %.6f,\n", sync_step);
-    std::fprintf(f, "  \"overlap_step_seconds\": %.6f,\n", overlap_step);
+    std::fprintf(f, "  \"async_step_seconds\": %.6f,\n", async_step);
     std::fprintf(f, "  \"measured_overlap_saved_seconds\": %.6f,\n",
                  measured.overlap_saved);
     std::fprintf(f, "  \"measured_overlap_saved_fraction\": %.6f,\n",
                  measured_saved_frac);
     std::fprintf(f, "  \"modeled_sync_step_seconds\": %.6f,\n",
                  modeled_sync.total);
-    std::fprintf(f, "  \"modeled_overlap_step_seconds\": %.6f,\n",
-                 modeled_overlap.total);
+    std::fprintf(f, "  \"modeled_async_step_seconds\": %.6f,\n",
+                 modeled_async.total);
     std::fprintf(f, "  \"modeled_overlap_saved_seconds\": %.6f,\n",
-                 modeled_overlap.overlap_saved);
+                 modeled_async.overlap_saved);
     std::fprintf(f, "  \"modeled_overlap_saved_fraction\": %.6f,\n",
                  modeled_saved_frac);
     std::fprintf(f, "  \"checkpoint_bytes_per_step\": %.0f,\n",

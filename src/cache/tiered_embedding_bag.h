@@ -95,9 +95,12 @@ class TieredEmbeddingBag
     void Forward(const ops::TableInput& input, size_t batch, Matrix& out);
 
     /**
-     * Exact backward + update: duplicate rows are sorted and merged, then
-     * each unique row is read, stepped, and written back through the
-     * store — one read-modify-write per unique row regardless of pooling.
+     * Exact backward + update: duplicate rows are sorted and merged in
+     * SparseOptimizer's canonical order (ops::ExactUpdatePlan), then each
+     * unique row is read, stepped, and written back through the store —
+     * one read-modify-write per unique row regardless of pooling. Throws
+     * std::runtime_error, with the store and the row moments untouched,
+     * if any index is out of range.
      */
     void BackwardAndUpdate(const ops::TableInput& input, size_t batch,
                            const Matrix& grad);
@@ -109,6 +112,9 @@ class TieredEmbeddingBag
     ops::SparseOptimizerConfig config_;
     /** Row-wise AdaGrad moments (one float per row). */
     std::vector<float> rowwise_state_;
+    /** Scratch reused across calls. */
+    ops::ExactUpdatePlan plan_;
+    std::vector<ops::ExactUpdatePlan::GradRun> runs_;
     std::vector<float> row_buf_;
     std::vector<float> merged_;
 };

@@ -117,32 +117,6 @@ DistributedDlrm::BuildShards()
 DistributedDlrm::PreparedInput
 DistributedDlrm::PrepareInput(const data::Batch& local_batch)
 {
-    return PrepareInputVia(*router_, local_batch);
-}
-
-void
-DistributedDlrm::AttachPrepareChannel(comm::ProcessGroup& pg)
-{
-    NEO_REQUIRE(pg.Rank() == rank_ && pg.Size() == world_,
-                "prepare channel must mirror the training communicator "
-                "(rank ", rank_, "/", world_, ", got ", pg.Rank(), "/",
-                pg.Size(), ")");
-    prepare_router_.emplace(config_.tables, config_.EmbeddingDim(), plan_,
-                            pg);
-}
-
-DistributedDlrm::PreparedInput
-DistributedDlrm::PrepareInputOverlapped(const data::Batch& local_batch)
-{
-    NEO_REQUIRE(prepare_router_.has_value(),
-                "PrepareInputOverlapped requires AttachPrepareChannel");
-    return PrepareInputVia(*prepare_router_, local_batch);
-}
-
-DistributedDlrm::PreparedInput
-DistributedDlrm::PrepareInputVia(const ShardRouter& router,
-                                 const data::Batch& local_batch)
-{
     // Bucketize/route time books as "data"; the nested lengths/indices
     // AllToAlls carve their own time into the alltoall bucket.
     NEO_TRACE_SPAN("prepare_input", "data");
@@ -161,7 +135,7 @@ DistributedDlrm::PrepareInputVia(const ShardRouter& router,
     prepared.local_sparse = local_batch.sparse;
     prepared.local_batch = local_batch.size();
     prepared.shard_inputs =
-        router.RouteInput(local_batch.sparse, prepared.local_batch);
+        router_->RouteInput(local_batch.sparse, prepared.local_batch);
     return prepared;
 }
 

@@ -149,34 +149,6 @@ class DistributedDlrm
      */
     PreparedInput PrepareInput(const data::Batch& local_batch);
 
-    /**
-     * Bind a second, same-shaped communicator as the *prepare channel*.
-     * PrepareInputOverlapped routes over it instead of the training
-     * communicator, so a background task can run batch i+1's input
-     * AllToAll concurrently with batch i's collectives without the two
-     * schedules ever sharing a barrier. The barriers of ThreadedWorld
-     * count arrivals from any thread — a background prepare entering the
-     * training world's barrier while the main thread is inside a training
-     * collective would cross-release mismatched collectives — which is
-     * why genuine overlap needs a disjoint communicator rather than a
-     * lock. Routing is a pure function of the batch, so which channel
-     * carries it cannot change any value. `pg` must have this trainer's
-     * rank and size and must outlive the trainer.
-     */
-    void AttachPrepareChannel(comm::ProcessGroup& pg);
-
-    /** True once AttachPrepareChannel has been called. */
-    bool has_prepare_channel() const { return prepare_router_.has_value(); }
-
-    /**
-     * PrepareInput over the prepare channel (AttachPrepareChannel first).
-     * Collective on the prepare channel only; safe to call from a
-     * background thread while the owning thread is inside a training
-     * step, because the two never touch the same communicator and the
-     * prepare phase reads no mutable model state.
-     */
-    PreparedInput PrepareInputOverlapped(const data::Batch& local_batch);
-
     /** Full training step on a prepared input. Returns global mean loss. */
     double TrainStepPrepared(PreparedInput& prepared);
 
@@ -263,10 +235,6 @@ class DistributedDlrm
     // -- construction helpers --
     void BuildShards();
 
-    /** PrepareInput body, routing over `router`. */
-    PreparedInput PrepareInputVia(const ShardRouter& router,
-                                  const data::Batch& local_batch);
-
     /** Shared retry loop of the *WithRecovery entry points: runs
      *  `attempt` under an optional StepTransaction with rollback,
      *  backoff, and the all-rank recovery rendezvous. */
@@ -308,10 +276,6 @@ class DistributedDlrm
     /** Forward routing tables derived from the plan (see ShardRouter);
      *  shared implementation with the serving engine. */
     std::optional<ShardRouter> router_;
-
-    /** Same routing tables bound to the prepare channel (see
-     *  AttachPrepareChannel); engaged only for overlapped pipelining. */
-    std::optional<ShardRouter> prepare_router_;
 
     /** Scratch: flat MLP gradient buffer for the AllReduce. */
     std::vector<float> grad_buffer_;

@@ -20,9 +20,6 @@ namespace neo::kernels {
 namespace detail_tiers {
 
 const KernelTable& ScalarTable();
-#if defined(NEO_KERNELS_HAVE_SSE)
-const KernelTable& SseTable();
-#endif
 #if defined(NEO_KERNELS_HAVE_AVX2)
 const KernelTable& Avx2Table();
 #endif
@@ -42,14 +39,6 @@ TierSupported(Tier tier)
     switch (tier) {
         case Tier::kScalar:
             return true;
-        case Tier::kSse:
-#if defined(NEO_KERNELS_HAVE_SSE)
-            // VEX-encoded 128-bit kernels: need AVX+FMA (and F16C for
-            // the half converts) despite the 128-bit width.
-            return host.avx && host.fma && host.f16c;
-#else
-            return false;
-#endif
         case Tier::kAvx2:
 #if defined(NEO_KERNELS_HAVE_AVX2)
             return host.avx2 && host.fma && host.f16c;
@@ -70,10 +59,6 @@ const KernelTable&
 TableForSupported(Tier tier)
 {
     switch (tier) {
-#if defined(NEO_KERNELS_HAVE_SSE)
-        case Tier::kSse:
-            return detail_tiers::SseTable();
-#endif
 #if defined(NEO_KERNELS_HAVE_AVX2)
         case Tier::kAvx2:
             return detail_tiers::Avx2Table();
@@ -104,15 +89,13 @@ ResolveTier()
         Tier tier = Tier::kScalar;
         if (want == "scalar") {
             tier = Tier::kScalar;
-        } else if (want == "sse") {
-            tier = Tier::kSse;
         } else if (want == "avx2") {
             tier = Tier::kAvx2;
         } else if (want == "avx512") {
             tier = Tier::kAvx512;
         } else {
             NEO_FATAL("NEO_KERNEL_TIER='", want,
-                      "' is not one of scalar|sse|avx2|avx512");
+                      "' is not one of scalar|avx2|avx512");
         }
         if (!TierSupported(tier)) {
             NEO_FATAL("NEO_KERNEL_TIER=", want,
@@ -122,8 +105,7 @@ ResolveTier()
         }
         return tier;
     }
-    for (Tier tier :
-         {Tier::kAvx512, Tier::kAvx2, Tier::kSse, Tier::kScalar}) {
+    for (Tier tier : {Tier::kAvx512, Tier::kAvx2, Tier::kScalar}) {
         if (TierSupported(tier)) {
             return tier;
         }
@@ -141,8 +123,6 @@ TierName(Tier tier)
     switch (tier) {
         case Tier::kScalar:
             return "scalar";
-        case Tier::kSse:
-            return "sse";
         case Tier::kAvx2:
             return "avx2";
         case Tier::kAvx512:
@@ -179,8 +159,7 @@ std::vector<Tier>
 SupportedTiers()
 {
     std::vector<Tier> tiers;
-    for (Tier tier :
-         {Tier::kScalar, Tier::kSse, Tier::kAvx2, Tier::kAvx512}) {
+    for (Tier tier : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
         if (TierSupported(tier)) {
             tiers.push_back(tier);
         }

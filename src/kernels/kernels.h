@@ -3,8 +3,9 @@
  * Runtime-dispatched SIMD microkernels for the two hot loops of every
  * measured step — MLP GEMM and fused pooled embedding lookup — in the
  * style of onnxruntime's core/mlas: a CPU-feature probe picks the widest
- * compiled-in tier at first use (overridable via NEO_KERNEL_TIER), and
- * every caller goes through one function-pointer table.
+ * compiled-in tier — scalar reference, AVX2+FMA or AVX-512F — at first
+ * use (overridable via NEO_KERNEL_TIER), and every caller goes through
+ * one function-pointer table.
  *
  * Determinism contract (DESIGN.md §4h): bitwise identity across tiers is
  * achieved *by construction*, not tolerance. Every kernel implements one
@@ -37,13 +38,15 @@
 
 namespace neo::kernels {
 
-/** Dispatch tiers, narrowest to widest. */
+/**
+ * Dispatch tiers, narrowest to widest. Hosts without AVX2+FMA+F16C run
+ * the scalar reference tier (bitwise the same results under the
+ * contract above). The values are published as the neo.kernels.tier
+ * gauge, which dashboards and benchmark fingerprints read, so they are
+ * fixed (1 is unused).
+ */
 enum class Tier {
     kScalar = 0,
-    /** 128-bit VEX kernels (requires AVX+FMA; a narrow-width cross-check
-        tier on wider hosts — plain SSE4.2 hosts lack FMA and fall back
-        to scalar, which carries the SSE4.2 baseline via std::fma). */
-    kSse = 1,
     kAvx2 = 2,
     kAvx512 = 3,
 };
@@ -121,7 +124,7 @@ struct KernelTable {
 /**
  * The active kernel table. Resolved once on first use: the widest tier
  * both compiled in and supported by the host, unless NEO_KERNEL_TIER
- * (scalar|sse|avx2|avx512) overrides it — a fatal error if the requested
+ * (scalar|avx2|avx512) overrides it — a fatal error if the requested
  * tier is unknown or unsupported. The selection is published to
  * obs::MetricsRegistry as gauge `neo.kernels.tier`.
  */

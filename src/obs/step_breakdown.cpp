@@ -77,7 +77,7 @@ StepBreakdown::FromSpans(const std::vector<Span>& spans, int rank,
 
     // For the overlap_saved term: the step spans' time intervals, and
     // the root spans of threads that recorded no step span (background
-    // lanes — overlapped prepare, async checkpoint flush).
+    // lanes such as the async checkpoint flush).
     std::vector<std::pair<int64_t, int64_t>> step_intervals;
     std::vector<std::pair<int64_t, int64_t>> background_roots;
 

@@ -65,9 +65,9 @@ class StepBreakdown
 
     /**
      * Per-step seconds of work this rank ran CONCURRENTLY with its step
-     * spans on background threads (overlapped input distribution, async
-     * checkpoint flushes) — work a sequential schedule would have added
-     * to the critical path. Deliberately NOT a category: the exclusive-
+     * spans on background threads (async checkpoint flushes) — work a
+     * sequential schedule would have added to the critical path.
+     * Deliberately NOT a category: the exclusive-
      * time buckets still sum to the step wall clock, and overlap_saved
      * reports the extra off-path time separately. Measured as the
      * temporal intersection of background-thread root spans with the

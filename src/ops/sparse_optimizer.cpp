@@ -33,12 +33,6 @@ constexpr size_t kExactPrefetchDistance = 2;
 constexpr int kRadixBits = 11;
 constexpr size_t kRadixBuckets = size_t{1} << kRadixBits;
 
-/** Duplicate occurrences of one row that share a gradient pointer. */
-struct GradRun {
-    const float* grad;
-    size_t count;
-};
-
 /**
  * Stable LSD radix sort of `in` by row id into `out`, one pass per 11-bit
  * digit of `max_row` (no pass at all when every row is 0). Every row must
@@ -82,6 +76,90 @@ RadixSortByRow(std::span<const SparseGradRef> in, uint64_t max_row,
 }
 
 }  // namespace
+
+void
+ExactUpdatePlan::Build(std::span<const SparseGradRef> grads, int64_t rows)
+{
+    // Validate every row before anything is written, so a bad batch
+    // leaves the table and the optimizer state untouched.
+    int64_t max_row = 0;
+    for (const SparseGradRef& ref : grads) {
+        NEO_REQUIRE(ref.row >= 0 && ref.row < rows, "gradient row ",
+                    ref.row, " out of range [0, ", rows, ")");
+        max_row = std::max(max_row, ref.row);
+    }
+    group_starts_.clear();
+    chunk_starts_.assign(1, 0);
+
+    // Stable sort of the occurrences by row id. Stability plus the
+    // canonical per-group merge makes the final result invariant to the
+    // original occurrence order.
+    RadixSortByRow(grads, static_cast<uint64_t>(max_row), sorted_,
+                   radix_scratch_);
+
+    // One scan reads the unique-row groups off the sorted keys and cuts
+    // them into chunks of at most kExactGroupGrain groups, closing a
+    // chunk early once it holds kExactOccurrenceGrain occurrences.
+    size_t chunk_groups = 0;
+    size_t chunk_occurrences = 0;
+    for (size_t i = 0; i < sorted_.size();) {
+        size_t j = i + 1;
+        while (j < sorted_.size() && sorted_[j].row == sorted_[i].row) {
+            j++;
+        }
+        if (chunk_groups == kExactGroupGrain ||
+            chunk_occurrences >= kExactOccurrenceGrain) {
+            chunk_starts_.push_back(group_starts_.size());
+            chunk_groups = 0;
+            chunk_occurrences = 0;
+        }
+        group_starts_.push_back(i);
+        chunk_groups++;
+        chunk_occurrences += j - i;
+        i = j;
+    }
+    chunk_starts_.push_back(group_starts_.size());
+    group_starts_.push_back(sorted_.size());
+}
+
+void
+ExactUpdatePlan::MergeGroup(size_t group, size_t dim, float* merged,
+                            std::vector<GradRun>& runs) const
+{
+    const size_t s = group_starts_[group];
+    const size_t e = group_starts_[group + 1];
+    // Floating-point sums depend on order, so the duplicates are merged
+    // in lexicographic order of their gradient values, which no
+    // permutation of the batch can change. Occurrences that share a
+    // gradient pointer (one bag naming a row twice) sit next to each
+    // other after the stable sort; they collapse into one (pointer,
+    // count) run before the sort. Equal pointers hold equal values, so
+    // the add sequence is the one a sort of the single occurrences gives.
+    runs.clear();
+    for (size_t k = s; k < e;) {
+        const float* grad = sorted_[k].grad;
+        size_t count = 1;
+        while (k + count < e && sorted_[k + count].grad == grad) {
+            count++;
+        }
+        runs.push_back({grad, count});
+        k += count;
+    }
+    if (runs.size() > 1) {
+        std::sort(runs.begin(), runs.end(),
+                  [dim](const GradRun& a, const GradRun& b) {
+                      return std::lexicographical_compare(
+                          a.grad, a.grad + dim, b.grad, b.grad + dim);
+                  });
+    }
+    const kernels::KernelTable& kt = kernels::Active();
+    std::fill(merged, merged + dim, 0.0f);
+    for (const GradRun& run : runs) {
+        for (size_t k = 0; k < run.count; k++) {
+            kt.add_f32(run.grad, merged, dim);
+        }
+    }
+}
 
 const char*
 SparseOptimizerKindName(SparseOptimizerKind kind)
@@ -264,7 +342,7 @@ SparseOptimizer::ApplyExact(EmbeddingTable& table,
     NEO_TRACE_SPAN("sparse_apply_exact", "emb_bwd");
     NEO_REQUIRE(table.rows() == rows_ && table.dim() == dim_,
                 "optimizer/table shape mismatch");
-    PlanExact(grads);
+    plan_.Build(grads, rows_);
 
     // Apply the chunks in parallel: each group owns one table row and
     // its optimizer state, groups are disjoint, and each group's merge
@@ -272,8 +350,8 @@ SparseOptimizer::ApplyExact(EmbeddingTable& table,
     static obs::Counter& update_calls =
         obs::MetricsRegistry::Get().GetCounter(
             "neo.kernels.sparse_update_calls");
-    update_calls.Add(group_starts_.size() - 1);
-    ParallelFor(0, chunk_starts_.size() - 1, 1, [&](size_t c0, size_t c1) {
+    update_calls.Add(plan_.NumGroups());
+    ParallelFor(0, plan_.NumChunks(), 1, [&](size_t c0, size_t c1) {
         for (size_t c = c0; c < c1; c++) {
             ApplyExactChunk(table, c);
         }
@@ -281,103 +359,21 @@ SparseOptimizer::ApplyExact(EmbeddingTable& table,
 }
 
 void
-SparseOptimizer::PlanExact(std::span<const SparseGradRef> grads)
-{
-    group_starts_.clear();
-    chunk_starts_.assign(1, 0);
-
-    // Validate every row before anything is written, so a bad batch
-    // leaves the table and the optimizer state untouched.
-    int64_t max_row = 0;
-    for (const SparseGradRef& ref : grads) {
-        NEO_REQUIRE(ref.row >= 0 && ref.row < rows_,
-                    "gradient row ", ref.row, " out of range [0, ", rows_,
-                    ")");
-        max_row = std::max(max_row, ref.row);
-    }
-
-    // Stable sort of the occurrences by row id. Stability plus the
-    // canonical per-group merge makes the final result invariant to the
-    // original occurrence order.
-    RadixSortByRow(grads, static_cast<uint64_t>(max_row), sorted_,
-                   radix_scratch_);
-
-    // One scan reads the unique-row groups off the sorted keys and cuts
-    // them into chunks of at most kExactGroupGrain groups, closing a
-    // chunk early once it holds kExactOccurrenceGrain occurrences. The
-    // cut depends only on the batch, never on the thread count.
-    size_t chunk_groups = 0;
-    size_t chunk_occurrences = 0;
-    for (size_t i = 0; i < sorted_.size();) {
-        size_t j = i + 1;
-        while (j < sorted_.size() && sorted_[j].row == sorted_[i].row) {
-            j++;
-        }
-        if (chunk_groups == kExactGroupGrain ||
-            chunk_occurrences >= kExactOccurrenceGrain) {
-            chunk_starts_.push_back(group_starts_.size());
-            chunk_groups = 0;
-            chunk_occurrences = 0;
-        }
-        group_starts_.push_back(i);
-        chunk_groups++;
-        chunk_occurrences += j - i;
-        i = j;
-    }
-    chunk_starts_.push_back(group_starts_.size());
-    group_starts_.push_back(sorted_.size());
-}
-
-void
 SparseOptimizer::ApplyExactChunk(EmbeddingTable& table, size_t chunk)
 {
     const size_t d = static_cast<size_t>(dim_);
-    const kernels::KernelTable& kt = kernels::Active();
     std::vector<float> merged(d);
     std::vector<float> row_buf(d);
-    std::vector<GradRun> runs;
-    const size_t end = chunk_starts_[chunk + 1];
-    for (size_t g = chunk_starts_[chunk]; g < end; g++) {
+    std::vector<ExactUpdatePlan::GradRun> runs;
+    const size_t end = plan_.ChunkBegin(chunk + 1);
+    for (size_t g = plan_.ChunkBegin(chunk); g < end; g++) {
         // The rows are scattered over a table far larger than the cache:
         // fetch a later group's row while this one merges.
         if (g + kExactPrefetchDistance < end) {
-            table.PrefetchRow(
-                sorted_[group_starts_[g + kExactPrefetchDistance]].row);
+            table.PrefetchRow(plan_.GroupRow(g + kExactPrefetchDistance));
         }
-        const size_t s = group_starts_[g];
-        const size_t e = group_starts_[g + 1];
-        // Floating-point sums depend on order, so the duplicates are
-        // merged in lexicographic order of their gradient values, which
-        // no permutation of the batch can change. Occurrences that share
-        // a gradient pointer (one bag naming a row twice) sit next to each
-        // other after the stable sort; they collapse into one (pointer,
-        // count) run before the sort. Equal pointers hold equal values,
-        // so the add sequence is the one a sort of the single occurrences
-        // gives.
-        runs.clear();
-        for (size_t k = s; k < e;) {
-            const float* grad = sorted_[k].grad;
-            size_t count = 1;
-            while (k + count < e && sorted_[k + count].grad == grad) {
-                count++;
-            }
-            runs.push_back({grad, count});
-            k += count;
-        }
-        if (runs.size() > 1) {
-            std::sort(runs.begin(), runs.end(),
-                      [d](const GradRun& a, const GradRun& b) {
-                          return std::lexicographical_compare(
-                              a.grad, a.grad + d, b.grad, b.grad + d);
-                      });
-        }
-        std::fill(merged.begin(), merged.end(), 0.0f);
-        for (const GradRun& run : runs) {
-            for (size_t k = 0; k < run.count; k++) {
-                kt.add_f32(run.grad, merged.data(), d);
-            }
-        }
-        UpdateRow(table, sorted_[s].row, merged.data(), row_buf.data());
+        plan_.MergeGroup(g, d, merged.data(), runs);
+        UpdateRow(table, plan_.GroupRow(g), merged.data(), row_buf.data());
     }
 }
 

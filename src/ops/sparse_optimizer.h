@@ -54,6 +54,59 @@ struct SparseGradRef {
     const float* grad;
 };
 
+/**
+ * The exact update's canonical order, shared by every exact-update path
+ * (SparseOptimizer::ApplyExact, cache::TieredEmbeddingBag). Build
+ * validates a batch of occurrences, sorts them stably by row (LSD radix)
+ * and cuts the sorted run into unique-row groups, and the groups into
+ * chunks for parallel application. MergeGroup sums one group's
+ * gradients in lexicographic order of their values, which no permutation
+ * of the batch can change, so the merged gradient of every row is
+ * invariant to occurrence order.
+ */
+class ExactUpdatePlan
+{
+  public:
+    /** Duplicate occurrences of one row that share a gradient pointer. */
+    struct GradRun {
+        const float* grad;
+        size_t count;
+    };
+
+    /**
+     * Plan `grads` for a table of `rows` rows. Throws std::runtime_error
+     * if any row lies outside [0, rows); writes nothing but the plan.
+     * Chunks hold at most 64 groups and close early at 256 occurrences,
+     * a cut that depends only on the batch, never on the thread count.
+     */
+    void Build(std::span<const SparseGradRef> grads, int64_t rows);
+
+    size_t NumGroups() const { return group_starts_.size() - 1; }
+    size_t NumChunks() const { return chunk_starts_.size() - 1; }
+    /** Groups [ChunkBegin(c), ChunkBegin(c + 1)) form chunk c. */
+    size_t ChunkBegin(size_t chunk) const { return chunk_starts_[chunk]; }
+    /** Table row of group `group`. */
+    int64_t GroupRow(size_t group) const
+    {
+        return sorted_[group_starts_[group]].row;
+    }
+
+    /**
+     * merged[0..dim) = the canonical sum of group `group`'s gradients,
+     * through the active kernel table. `runs` is caller-owned scratch.
+     */
+    void MergeGroup(size_t group, size_t dim, float* merged,
+                    std::vector<GradRun>& runs) const;
+
+  private:
+    std::vector<SparseGradRef> sorted_;
+    std::vector<SparseGradRef> radix_scratch_;
+    /** Start of every group in sorted_, then sorted_.size(). */
+    std::vector<size_t> group_starts_{0};
+    /** First group of every chunk, then NumGroups(). */
+    std::vector<size_t> chunk_starts_{0};
+};
+
 /** Optimizer state and update logic for a single embedding table. */
 class SparseOptimizer
 {
@@ -112,13 +165,6 @@ class SparseOptimizer
     float RowMoment(int64_t row) const;
 
   private:
-    /**
-     * Validate `grads`, radix-sort them by row into sorted_ and cut the
-     * unique-row groups into chunks (group_starts_, chunk_starts_).
-     * Writes only that scratch; throws if a row is out of range.
-     */
-    void PlanExact(std::span<const SparseGradRef> grads);
-
     /** Merge and apply the groups of planned chunk `chunk`. */
     void ApplyExactChunk(EmbeddingTable& table, size_t chunk);
 
@@ -143,10 +189,7 @@ class SparseOptimizer
     std::vector<uint32_t> adam_step_;
 
     /** Scratch reused across calls to avoid per-step allocation churn. */
-    std::vector<SparseGradRef> sorted_;
-    std::vector<SparseGradRef> radix_scratch_;
-    std::vector<size_t> group_starts_;
-    std::vector<size_t> chunk_starts_;
+    ExactUpdatePlan plan_;
     std::vector<float> row_buf_;
 };
 

@@ -468,6 +468,46 @@ TEST(TieredEmbeddingBag, UvmStoreTrainsEquivalently)
     EXPECT_GT(uvm_store.store().stats().page_faults, 0u);
 }
 
+TEST(TieredEmbeddingBag, OutOfRangeRowThrowsAndLeavesStateUntouched)
+{
+    const int64_t rows = 300, dim = 8;
+    const TieredFixtureData data = MakeTieredInputs(rows, dim, 11);
+    ops::SparseOptimizerConfig config;
+    config.kind = ops::SparseOptimizerKind::kRowWiseAdaGrad;
+    config.learning_rate = 0.05f;
+
+    auto make_store = [&] {
+        ops::EmbeddingTable table(rows, dim);
+        table.InitDeterministic(4, 0, 0, dim);
+        return ops::PlainRowStore(std::move(table));
+    };
+    const ops::TableInput good{data.lengths, data.indices};
+
+    // The bad batch names valid rows as well, and its bad row sorts last,
+    // so an update that wrote as it went would have touched the store.
+    std::vector<int64_t> bad_indices = data.indices;
+    bad_indices.back() = rows;
+    const ops::TableInput bad{data.lengths, bad_indices};
+
+    ops::PlainRowStore store = make_store();
+    TieredEmbeddingBag bag(&store, config);
+    bag.BackwardAndUpdate(good, data.batch, data.grads);
+    const ops::EmbeddingTable before = store.table();
+    EXPECT_THROW(bag.BackwardAndUpdate(bad, data.batch, data.grads),
+                 std::runtime_error);
+    EXPECT_TRUE(ops::EmbeddingTable::Identical(before, store.table()));
+
+    // The row moments are untouched too: the next step lands exactly
+    // where it lands on a bag that never saw the bad batch.
+    bag.BackwardAndUpdate(good, data.batch, data.grads);
+    ops::PlainRowStore clean_store = make_store();
+    TieredEmbeddingBag clean(&clean_store, config);
+    clean.BackwardAndUpdate(good, data.batch, data.grads);
+    clean.BackwardAndUpdate(good, data.batch, data.grads);
+    EXPECT_TRUE(
+        ops::EmbeddingTable::Identical(clean_store.table(), store.table()));
+}
+
 TEST(TieredEmbeddingBag, RejectsUnsupportedOptimizer)
 {
     ops::EmbeddingTable table(10, 4);

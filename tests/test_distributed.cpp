@@ -1383,9 +1383,9 @@ TEST(Distributed, PermanentDeathShrinksReshardsAndConverges)
  * call raw TrainStepPrepared, bypassing the transactional retry loop, so
  * a mid-step kill under pipelining either crashed the job or (worse)
  * retried on top of half-applied state. Now a transient kill injected
- * into the MLP-gradient AllReduce of an OVERLAPPED pipelined step — after
- * the sparse apply, before the dense apply — rolls back and retries, and
- * every loss stays bitwise identical to a fault-free unpipelined run.
+ * into the MLP-gradient AllReduce of a pipelined step — after the sparse
+ * apply, before the dense apply — rolls back and retries, and every loss
+ * stays bitwise identical to a fault-free unpipelined run.
  */
 TEST(Distributed, PipelinedMidStepKillRollbackIsBitIdentical)
 {
@@ -1396,10 +1396,10 @@ TEST(Distributed, PipelinedMidStepKillRollbackIsBitIdentical)
     const size_t local_batch = global_batch / workers;
     const int steps = 4;
     const int kill_step = 1;
-    // Table-wise only: 2 AllReduces per training step (loss, MLP grads)
-    // on the training world. Under overlap the input AllToAlls move to
-    // the prepare world, so the per-op AllReduce indexing is unchanged:
-    // step s's MLP-grads AllReduce is still per-op index 2s + 1.
+    // Table-wise only: 2 AllReduces per training step (loss, MLP grads).
+    // The pipeline only moves the input AllToAlls, so the per-op
+    // AllReduce indexing is unchanged: step s's MLP-grads AllReduce is
+    // still per-op index 2s + 1.
     const sharding::ShardingPlan plan =
         ForcedPlan(model, workers, sharding::Scheme::kTableWise);
 
@@ -1423,9 +1423,9 @@ TEST(Distributed, PipelinedMidStepKillRollbackIsBitIdentical)
             }
         });
 
-    // Overlapped pipelined run with the kill armed. The prepare world
-    // carries no injector: the fault must land inside the training step
-    // so the retry machinery — not the prepare path — handles it.
+    // Pipelined run with the kill armed. The fault lands inside the
+    // training step, so the retry machinery — not the prepare path —
+    // handles it.
     comm::FaultInjector injector;
     comm::FaultSpec kill;
     kill.rank = 2;
@@ -1439,14 +1439,11 @@ TEST(Distributed, PipelinedMidStepKillRollbackIsBitIdentical)
     world_options.injector = &injector;
     world_options.barrier_timeout = milliseconds(20000);
 
-    comm::ThreadedWorld prepare_world(workers);
     std::vector<std::vector<double>> piped(workers);
     comm::ThreadedWorld::Run(
         workers, world_options, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, plan, pg, options);
-            core::PipelinedTrainer pipeline(trainer,
-                                            prepare_world.GetGroup(rank));
-            ASSERT_TRUE(pipeline.overlapped());
+            core::PipelinedTrainer pipeline(trainer);
             data::SyntheticCtrDataset dataset(MakeDataConfig(model));
             for (int s = 0; s < steps; s++) {
                 const data::Batch local = SliceGlobal(

@@ -66,59 +66,87 @@ Slice(const data::Batch& global, int rank, size_t local_batch)
 
 // ------------------------------------------------------------- Pipeline
 
+/** Per-step losses as seen by rank 0, unpipelined or pipelined. */
+std::vector<double>
+RunLosses(const DlrmConfig& model, const sharding::ShardingPlan& plan,
+          int workers, size_t local_batch, int steps, bool pipelined)
+{
+    std::vector<double> losses;
+    comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
+        DistributedDlrm trainer(model, plan, pg);
+        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        PipelinedTrainer pipeline(trainer);
+        std::vector<double> local_losses;
+        for (int s = 0; s < steps; s++) {
+            const data::Batch local =
+                Slice(dataset.NextBatch(local_batch * workers), rank,
+                      local_batch);
+            if (!pipelined) {
+                local_losses.push_back(trainer.TrainStep(local));
+            } else if (auto loss = pipeline.Push(local)) {
+                local_losses.push_back(*loss);
+            }
+        }
+        if (auto loss = pipeline.Flush()) {
+            local_losses.push_back(*loss);
+        }
+        EXPECT_EQ(pipeline.steps_completed(),
+                  pipelined ? static_cast<uint64_t>(steps) : 0u);
+        if (rank == 0) {
+            losses = local_losses;
+        }
+    });
+    return losses;
+}
+
 TEST(Pipeline, MatchesUnpipelinedBitwise)
 {
+    // Scheduling batch i+1's input AllToAll before batch i trains may
+    // not change a single bit of the result.
     const DlrmConfig model = MakeSmallDlrmConfig(4, 150, 16);
     const int workers = 2;
     const size_t local_batch = 16;
     const int steps = 6;
     const sharding::ShardingPlan plan = PlanFor(model, workers);
 
-    auto run = [&](bool pipelined) {
-        std::vector<double> losses;
-        comm::ThreadedWorld::Run(workers, [&](int rank,
-                                              comm::ProcessGroup& pg) {
-            DistributedDlrm trainer(model, plan, pg);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
-            std::vector<double> local_losses;
-            if (pipelined) {
-                PipelinedTrainer pipeline(trainer);
-                for (int s = 0; s < steps; s++) {
-                    data::Batch global =
-                        dataset.NextBatch(local_batch * workers);
-                    if (auto loss =
-                            pipeline.Push(Slice(global, rank,
-                                                local_batch))) {
-                        local_losses.push_back(*loss);
-                    }
-                }
-                if (auto loss = pipeline.Flush()) {
-                    local_losses.push_back(*loss);
-                }
-                EXPECT_EQ(pipeline.steps_completed(),
-                          static_cast<uint64_t>(steps));
-            } else {
-                for (int s = 0; s < steps; s++) {
-                    data::Batch global =
-                        dataset.NextBatch(local_batch * workers);
-                    local_losses.push_back(
-                        trainer.TrainStep(Slice(global, rank,
-                                                local_batch)));
-                }
-            }
-            if (rank == 0) {
-                losses = local_losses;
-            }
-        });
-        return losses;
-    };
-
-    const std::vector<double> sequential = run(false);
-    const std::vector<double> pipelined = run(true);
-    ASSERT_EQ(sequential.size(), pipelined.size());
+    const std::vector<double> sequential =
+        RunLosses(model, plan, workers, local_batch, steps, false);
+    const std::vector<double> pipelined =
+        RunLosses(model, plan, workers, local_batch, steps, true);
+    ASSERT_EQ(sequential.size(), static_cast<size_t>(steps));
+    ASSERT_EQ(pipelined.size(), sequential.size());
     for (size_t i = 0; i < sequential.size(); i++) {
         EXPECT_EQ(sequential[i], pipelined[i]) << "step " << i;
     }
+}
+
+TEST(PipelineOverlap, MatchesUnpipelinedBitwiseAcrossThreadCounts)
+{
+    // The input exchange of batch i+1 runs ahead of batch i's training;
+    // that overlap may not change a single bit of the result at any
+    // shared-pool width, including 1.
+    const DlrmConfig model = MakeSmallDlrmConfig(4, 150, 16);
+    const int workers = 2;
+    const size_t local_batch = 16;
+    const int steps = 5;
+    const sharding::ShardingPlan plan = PlanFor(model, workers);
+
+    const std::vector<double> sequential =
+        RunLosses(model, plan, workers, local_batch, steps, false);
+    ASSERT_EQ(sequential.size(), static_cast<size_t>(steps));
+
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{7}}) {
+        SetDefaultPoolThreads(threads);
+        const std::vector<double> pipelined =
+            RunLosses(model, plan, workers, local_batch, steps, true);
+        ASSERT_EQ(pipelined.size(), sequential.size())
+            << "threads=" << threads;
+        for (size_t i = 0; i < sequential.size(); i++) {
+            EXPECT_EQ(sequential[i], pipelined[i])
+                << "step " << i << " threads=" << threads;
+        }
+    }
+    SetDefaultPoolThreads(DefaultParallelism());
 }
 
 TEST(Pipeline, FlushOnEmptyPipelineIsNoop)
@@ -131,132 +159,6 @@ TEST(Pipeline, FlushOnEmptyPipelineIsNoop)
         EXPECT_FALSE(pipeline.Flush().has_value());
         EXPECT_EQ(pipeline.steps_completed(), 0u);
     });
-}
-
-// ------------------------------------------------------------- Overlap
-
-/** Unpipelined baseline: per-step losses as seen by rank 0. */
-std::vector<double>
-RunSequential(const DlrmConfig& model, const sharding::ShardingPlan& plan,
-              int workers, size_t local_batch, int steps)
-{
-    std::vector<double> losses;
-    comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
-        DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
-        std::vector<double> local_losses;
-        for (int s = 0; s < steps; s++) {
-            data::Batch global = dataset.NextBatch(local_batch * workers);
-            local_losses.push_back(
-                trainer.TrainStep(Slice(global, rank, local_batch)));
-        }
-        if (rank == 0) {
-            losses = local_losses;
-        }
-    });
-    return losses;
-}
-
-/** Overlapped pipeline over a second (prepare) world; rank 0's losses. */
-std::vector<double>
-RunOverlapped(const DlrmConfig& model, const sharding::ShardingPlan& plan,
-              int workers, size_t local_batch, int steps)
-{
-    std::vector<double> losses;
-    comm::ThreadedWorld prepare_world(workers);
-    comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
-        DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
-        std::vector<double> local_losses;
-        PipelinedTrainer pipeline(trainer, prepare_world.GetGroup(rank));
-        EXPECT_TRUE(pipeline.overlapped());
-        for (int s = 0; s < steps; s++) {
-            data::Batch global = dataset.NextBatch(local_batch * workers);
-            if (auto loss =
-                    pipeline.Push(Slice(global, rank, local_batch))) {
-                local_losses.push_back(*loss);
-            }
-        }
-        if (auto loss = pipeline.Flush()) {
-            local_losses.push_back(*loss);
-        }
-        EXPECT_EQ(pipeline.steps_completed(),
-                  static_cast<uint64_t>(steps));
-        if (rank == 0) {
-            losses = local_losses;
-        }
-    });
-    return losses;
-}
-
-TEST(PipelineOverlap, MatchesUnpipelinedBitwiseAcrossThreadCounts)
-{
-    // The overlapped schedule moves the input AllToAll onto a background
-    // lane and a second communicator; neither may change a single bit of
-    // the result, at any shared-pool width (including 1, where a shared
-    // pool would deadlock — the dedicated lanes must not care).
-    const DlrmConfig model = MakeSmallDlrmConfig(4, 150, 16);
-    const int workers = 2;
-    const size_t local_batch = 16;
-    const int steps = 5;
-    const sharding::ShardingPlan plan = PlanFor(model, workers);
-
-    const std::vector<double> sequential =
-        RunSequential(model, plan, workers, local_batch, steps);
-    ASSERT_EQ(sequential.size(), static_cast<size_t>(steps));
-
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{7}}) {
-        SetDefaultPoolThreads(threads);
-        const std::vector<double> overlapped =
-            RunOverlapped(model, plan, workers, local_batch, steps);
-        ASSERT_EQ(overlapped.size(), sequential.size())
-            << "threads=" << threads;
-        for (size_t i = 0; i < sequential.size(); i++) {
-            EXPECT_EQ(sequential[i], overlapped[i])
-                << "step " << i << " threads=" << threads;
-        }
-    }
-    SetDefaultPoolThreads(DefaultParallelism());
-}
-
-TEST(PipelineOverlap, OverlapSavedNonzeroAndBucketsCoverStep)
-{
-    // The span-level proof that prepare really left the critical path:
-    // rank 0's background lane records prepare spans that coincide with
-    // its pipeline_step spans (overlap_saved > 0), while the exclusive-
-    // time buckets still sum to the step wall clock.
-    const DlrmConfig model = MakeSmallDlrmConfig(4, 150, 16);
-    const int workers = 2;
-    const size_t local_batch = 16;
-    const int steps = 6;
-    const sharding::ShardingPlan plan = PlanFor(model, workers);
-
-    // A loaded (or sanitizer-slowed) box can starve the lane entirely out
-    // of every step window in one short run, so retry: the property under
-    // test is that prepare *can* run off the critical path, not that the
-    // OS schedules it concurrently on every attempt. Coverage must hold
-    // on every attempt regardless.
-    obs::Tracer& tracer = obs::Tracer::Get();
-    obs::StepBreakdown breakdown;
-    for (int attempt = 0; attempt < 5; attempt++) {
-        tracer.SetEnabled(true);
-        tracer.Clear();
-        RunOverlapped(model, plan, workers, local_batch, steps);
-        const std::vector<obs::Span> spans = tracer.Collect();
-        tracer.SetEnabled(false);
-        tracer.Clear();
-
-        breakdown = obs::StepBreakdown::FromSpans(spans, 0, "pipeline_step");
-        ASSERT_EQ(breakdown.steps, steps);
-        // Exclusive-time attribution: buckets sum to the wall clock
-        // exactly (up to float rounding), with overlap_saved reported on
-        // top, not inside.
-        EXPECT_NEAR(breakdown.Coverage(), 1.0, 1e-6);
-        if (breakdown.overlap_saved > 0.0) {
-            break;
-        }
-    }
-    EXPECT_GT(breakdown.overlap_saved, 0.0);
 }
 
 // ----------------------------------------------------------- Checkpoint
@@ -414,6 +316,48 @@ TEST(AsyncCheckpoint, StoreByteIdenticalToSyncCheckpointing)
                 << "delta " << i << ", rank " << rank;
         }
     }
+}
+
+TEST(AsyncCheckpoint, OverlapSavedNonzeroAndBucketsCoverStep)
+{
+    // The span-level proof that the delta flush really left the critical
+    // path: rank 0's checkpoint lane records checkpoint_flush spans that
+    // coincide with its train_step spans (overlap_saved > 0), while the
+    // exclusive-time buckets still sum to the step wall clock.
+    const DlrmConfig model = MakeSmallDlrmConfig(4, 150, 16);
+    const int workers = 2;
+    const size_t local_batch = 16;
+    const int steps = 6;
+    const sharding::ShardingPlan plan = PlanFor(model, workers);
+
+    // A loaded (or sanitizer-slowed) box can starve the lane entirely out
+    // of every step window in one short run, so retry: the property under
+    // test is that the flush *can* run off the critical path, not that
+    // the OS schedules it concurrently on every attempt. Coverage must
+    // hold on every attempt regardless.
+    obs::Tracer& tracer = obs::Tracer::Get();
+    obs::StepBreakdown breakdown;
+    for (int attempt = 0; attempt < 5; attempt++) {
+        CheckpointStore store;
+        tracer.SetEnabled(true);
+        tracer.Clear();
+        TrainWithCheckpoints(model, plan, workers, local_batch, steps,
+                             store, /*async=*/true);
+        const std::vector<obs::Span> spans = tracer.Collect();
+        tracer.SetEnabled(false);
+        tracer.Clear();
+
+        breakdown = obs::StepBreakdown::FromSpans(spans, 0);
+        ASSERT_EQ(breakdown.steps, steps);
+        // Exclusive-time attribution: buckets sum to the wall clock
+        // exactly (up to float rounding), with overlap_saved reported on
+        // top, not inside.
+        EXPECT_NEAR(breakdown.Coverage(), 1.0, 1e-6);
+        if (breakdown.overlap_saved > 0.0) {
+            break;
+        }
+    }
+    EXPECT_GT(breakdown.overlap_saved, 0.0);
 }
 
 TEST(AsyncCheckpoint, DiskStoreDrainsAndRestoresExactly)
