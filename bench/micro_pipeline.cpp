@@ -11,11 +11,13 @@
  *
  * — and fails unless every per-step loss is bit-identical and the two
  * checkpoint stores are byte-identical (taking work off the critical
- * path must not change what is computed or persisted). The async run is
- * traced; StepBreakdown::FromSpans attributes flush-lane time that
- * coincides with step windows as overlap_saved, which is diffed against
- * the sim::IterationModel's Eq.-1 prediction for the same workload
- * (async_checkpoint knob). Even on a single CI core the span timeline
+ * path must not change what is computed or persisted). The two sides
+ * alternate per repetition (sync, async, sync, async, ...) so host drift
+ * lands on both, and each side reports its median step time and range.
+ * The async runs are traced; StepBreakdown::FromSpans attributes
+ * flush-lane time that coincides with step windows as overlap_saved,
+ * which is diffed against the sim::IterationModel's Eq.-1 prediction for
+ * the same workload (async_checkpoint knob). Even on a single CI core the span timeline
  * shows the flush work scheduled off the step thread, so measured
  * overlap_saved stays > 0.
  *
@@ -132,28 +134,25 @@ RunSteps(const core::DlrmConfig& model, const sharding::ShardingPlan& plan,
     return result;
 }
 
-/**
- * Best wall-clock over `reps` fresh runs. Each rep gets a fresh store
- * and an empty trace buffer; the surviving store/trace are the last
- * rep's, which deterministic training makes identical to any rep's
- * (Clear is safe here: the world joined).
- */
-template <typename Fn>
-RunResult
-BestOf(int reps, std::unique_ptr<core::CheckpointStore>& store_out,
-       const Fn& run)
+/** Median and range of one side's per-repetition step times. */
+struct StepTiming {
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
+StepTiming
+Summarize(std::vector<double> step_seconds)
 {
-    RunResult best;
-    best.seconds = 1e30;
-    for (int r = 0; r < reps; r++) {
-        store_out = std::make_unique<core::CheckpointStore>();
-        obs::Tracer::Get().Clear();
-        RunResult run_result = run(*store_out);
-        if (run_result.seconds < best.seconds) {
-            best = std::move(run_result);
-        }
-    }
-    return best;
+    std::sort(step_seconds.begin(), step_seconds.end());
+    const size_t n = step_seconds.size();
+    StepTiming timing;
+    timing.median = n % 2 == 1
+        ? step_seconds[n / 2]
+        : 0.5 * (step_seconds[n / 2 - 1] + step_seconds[n / 2]);
+    timing.min = step_seconds.front();
+    timing.max = step_seconds.back();
+    return timing;
 }
 
 bool
@@ -208,38 +207,48 @@ main(int argc, char** argv)
     const sharding::ShardingPlan plan =
         sharding::ShardingPlanner(planner_options).Plan(model.tables);
 
-    // ---- measured: sync baseline (untraced), then async (traced)
-    obs::Tracer::Get().SetEnabled(false);
-    obs::Tracer::Get().Clear();
+    // ---- measured: sync (untraced) and async (traced), interleaved --
+    // Alternating the two sides per repetition spreads host drift over
+    // both instead of landing it on whichever side runs second. Every
+    // repetition gets fresh stores; the tracer keeps only the last async
+    // repetition's spans.
+    std::vector<double> sync_steps;
+    std::vector<double> async_steps;
     std::unique_ptr<core::CheckpointStore> sync_store;
-    const RunResult sync_run =
-        BestOf(reps, sync_store, [&](core::CheckpointStore& store) {
-            return RunSteps(model, plan, local_batch, steps, store,
-                            /*async=*/false);
-        });
-
-    obs::Tracer::Get().SetEnabled(true);
     std::unique_ptr<core::CheckpointStore> async_store;
-    const RunResult async_run =
-        BestOf(reps, async_store, [&](core::CheckpointStore& store) {
-            return RunSteps(model, plan, local_batch, steps, store,
-                            /*async=*/true);
-        });
-    obs::Tracer::Get().SetEnabled(false);
+    std::vector<std::vector<double>> first_losses;
+    bool bit_identical = true;
+    bool stores_identical = true;
+    for (int r = 0; r < reps; r++) {
+        obs::Tracer::Get().SetEnabled(false);
+        sync_store = std::make_unique<core::CheckpointStore>();
+        const RunResult sync_run = RunSteps(model, plan, local_batch, steps,
+                                            *sync_store, /*async=*/false);
+
+        obs::Tracer::Get().Clear();
+        obs::Tracer::Get().SetEnabled(true);
+        async_store = std::make_unique<core::CheckpointStore>();
+        const RunResult async_run = RunSteps(model, plan, local_batch, steps,
+                                             *async_store, /*async=*/true);
+        obs::Tracer::Get().SetEnabled(false);
+
+        sync_steps.push_back(sync_run.seconds / steps);
+        async_steps.push_back(async_run.seconds / steps);
+        if (r == 0) {
+            first_losses = sync_run.losses;
+        }
+        bit_identical &= sync_run.losses == first_losses &&
+                         async_run.losses == first_losses;
+        stores_identical &= StoresByteIdentical(*sync_store, *async_store);
+    }
 
     // ---- correctness gates -------------------------------------------
-    bool bit_identical = true;
-    for (int r = 0; r < kWorkers; r++) {
-        bit_identical &= async_run.losses[r] == sync_run.losses[r];
-    }
     if (!bit_identical) {
         std::fprintf(stderr,
                      "FAIL: async checkpointing changed the training "
                      "result\n");
         return 1;
     }
-    const bool stores_identical =
-        StoresByteIdentical(*sync_store, *async_store);
     if (!stores_identical) {
         std::fprintf(stderr,
                      "FAIL: async checkpointing changed the store\n");
@@ -257,8 +266,10 @@ main(int argc, char** argv)
         return 1;
     }
 
-    const double sync_step = sync_run.seconds / steps;
-    const double async_step = async_run.seconds / steps;
+    const StepTiming sync_timing = Summarize(sync_steps);
+    const StepTiming async_timing = Summarize(async_steps);
+    const double sync_step = sync_timing.median;
+    const double async_step = async_timing.median;
 
     // ---- modeled: the same workload through Eq. 1 --------------------
     // The functional run executes on simulated CPU workers, so absolute
@@ -300,7 +311,7 @@ main(int argc, char** argv)
 
     sim::FaultModel faults;
     faults.checkpoint_write_Bps =
-        delta_bytes_per_step * steps * kWorkers / sync_run.seconds;
+        delta_bytes_per_step * kWorkers / sync_step;
 
     sim::TrainingSetup sync_setup = setup;
     sim::IterationModel sync_model(workload, sync_setup);
@@ -322,11 +333,15 @@ main(int argc, char** argv)
 
     // ---- report ------------------------------------------------------
     std::printf("== micro_pipeline: async checkpointing "
-                "(%d steps, best of %d) ==\n\n",
+                "(%d steps, median of %d interleaved reps) ==\n\n",
                 steps, reps);
-    std::printf("sync  (blocking ckpt): %.3f ms/step\n", sync_step * 1e3);
-    std::printf("async (ckpt lane):     %.3f ms/step (%+.2f%%)\n",
-                async_step * 1e3,
+    std::printf("sync  (blocking ckpt): %.3f ms/step [%.3f, %.3f]\n",
+                sync_step * 1e3, sync_timing.min * 1e3,
+                sync_timing.max * 1e3);
+    std::printf("async (ckpt lane):     %.3f ms/step [%.3f, %.3f] "
+                "(%+.2f%%)\n",
+                async_step * 1e3, async_timing.min * 1e3,
+                async_timing.max * 1e3,
                 (async_step - sync_step) / sync_step * 100.0);
     std::printf("losses bit-identical: %s; stores byte-identical: %s\n",
                 bit_identical ? "yes" : "NO",
@@ -362,9 +377,18 @@ main(int argc, char** argv)
                  neo::kernels::TierName(neo::kernels::ActiveTier()));
     std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
     std::fprintf(f, "  \"steps\": %d,\n", steps);
+    std::fprintf(f, "  \"reps\": %d,\n", reps);
     std::fprintf(f, "  \"workers\": %d,\n", kWorkers);
     std::fprintf(f, "  \"sync_step_seconds\": %.6f,\n", sync_step);
+    std::fprintf(f, "  \"sync_step_seconds_min\": %.6f,\n",
+                 sync_timing.min);
+    std::fprintf(f, "  \"sync_step_seconds_max\": %.6f,\n",
+                 sync_timing.max);
     std::fprintf(f, "  \"async_step_seconds\": %.6f,\n", async_step);
+    std::fprintf(f, "  \"async_step_seconds_min\": %.6f,\n",
+                 async_timing.min);
+    std::fprintf(f, "  \"async_step_seconds_max\": %.6f,\n",
+                 async_timing.max);
     std::fprintf(f, "  \"measured_overlap_saved_seconds\": %.6f,\n",
                  measured.overlap_saved);
     std::fprintf(f, "  \"measured_overlap_saved_fraction\": %.6f,\n",

@@ -68,7 +68,11 @@ BinaryReader::ReadBytes(uint8_t* dst, size_t n)
     NEO_REQUIRE(pos_ + n <= buffer_.size(),
                 "truncated input: need ", n, " bytes at offset ", pos_,
                 " of ", buffer_.size());
-    std::memcpy(dst, buffer_.data() + pos_, n);
+    // memcpy requires valid pointers even for n == 0, and a zero-length
+    // read may pass a null destination (an empty vector's data()).
+    if (n > 0) {
+        std::memcpy(dst, buffer_.data() + pos_, n);
+    }
     pos_ += n;
 }
 

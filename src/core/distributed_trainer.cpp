@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "core/step_transaction.h"
 #include "data/jagged.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -225,25 +224,33 @@ DistributedDlrm::TrainStepPrepared(PreparedInput& prepared)
         bottom_->Backward(grad_bottom_out, grad_dense_unused);
     }
 
-    // ---- sparse updates (model-parallel, then replicated DP) ----
+    // ---- gradient exchanges: the step's last collectives ----
+    GradExchange exchange;
     {
-        NEO_TRACE_SPAN("emb_backward_update", "emb_bwd");
-        ExchangeGradsAndUpdate(prepared, grad_pooled);
-        UpdateDpTables(prepared, grad_pooled);
+        NEO_TRACE_SPAN("emb_backward_exchange", "emb_bwd");
+        ExchangeShardGrads(prepared, grad_pooled, exchange);
+        ExchangeDpGrads(prepared, grad_pooled, exchange);
     }
-
-    // ---- data-parallel MLP sync + update ----
     {
         // Pack/unpack rides the allreduce bucket (it exists only to feed
         // the wire); the nested collective span refines the timing.
         NEO_TRACE_SPAN("allreduce_mlp_grads", "allreduce");
         AllReduceMlpGrads();
     }
+
+    // ---- commit point ----
+    // Every collective of the step has completed on every rank (a
+    // completed barrier never throws retroactively), and nothing above
+    // wrote a table, an optimizer moment or an MLP weight. A RankFailure
+    // therefore leaves the model untouched, and no failure of a peer can
+    // interrupt the updates below.
+    {
+        NEO_TRACE_SPAN("emb_update", "emb_bwd");
+        ApplyShardGrads(prepared, exchange);
+        ApplyDpGrads(prepared, exchange);
+    }
     {
         NEO_TRACE_SPAN("dense_optimizer", "opt");
-        if (txn_ != nullptr) {
-            txn_->CaptureDense();
-        }
         bottom_->ApplyOptimizer(dense_opt_, bottom_slots_);
         top_->ApplyOptimizer(dense_opt_, top_slots_);
     }
@@ -292,25 +299,15 @@ DistributedDlrm::RunStepWithRecovery(const std::function<double()>& attempt)
     StepResult result;
     while (true) {
         result.attempts++;
-        std::optional<StepTransaction> txn;
-        if (options_.transactional_retry) {
-            txn.emplace(*this);
-        }
         try {
             result.loss = attempt();
-            if (txn) {
-                txn->Commit();
-            }
             result.ok = true;
             return result;
         } catch (const comm::RankFailure& failure) {
-            // Undo any partial mutation this attempt made — whether we
-            // retry (exactly-once semantics: the retry must start from
-            // the exact pre-step state) or give up (elastic recovery
-            // wants clean pre-step state to hand to the survivors).
-            if (txn) {
-                txn->Rollback();
-            }
+            // The failure hit a collective before the step's commit
+            // point, so the model still holds its pre-step state on every
+            // rank: a retry starts clean (exactly-once), and so does
+            // elastic recovery if we give up.
             obs::MetricsRegistry::Get()
                 .GetCounter("neo.core.step_retries")
                 .Add();
@@ -348,11 +345,11 @@ DistributedDlrm::RunStepWithRecovery(const std::function<double()>& attempt)
 }
 
 void
-DistributedDlrm::ExchangeGradsAndUpdate(const PreparedInput& prepared,
-                                        const std::vector<Matrix>& grad_pooled)
+DistributedDlrm::ExchangeShardGrads(const PreparedInput& prepared,
+                                    const std::vector<Matrix>& grad_pooled,
+                                    GradExchange& exchange)
 {
     const size_t b_local = prepared.local_batch;
-    const size_t b_global = b_local * static_cast<size_t>(world_);
 
     // Route each shard its slice of the pooled gradient: full width for
     // TW/RW (partials used every column), the column range for CW.
@@ -373,13 +370,22 @@ DistributedDlrm::ExchangeGradsAndUpdate(const PreparedInput& prepared,
             }
         }
     }
-    std::vector<std::vector<float>> recv;
-    comm::QuantizedAllToAll(pg_, send, recv, options_.backward_alltoall);
+    comm::QuantizedAllToAll(pg_, send, exchange.shard_grads,
+                            options_.backward_alltoall);
+}
 
-    // recv[src] holds, in my local shard order, a (b_local x d) gradient
-    // block per shard; global sample src * b_local + b is row b of
-    // source src's block. Every occurrence of a sample's bag points at
+void
+DistributedDlrm::ApplyShardGrads(const PreparedInput& prepared,
+                                 const GradExchange& exchange)
+{
+    const size_t b_local = prepared.local_batch;
+    const size_t b_global = b_local * static_cast<size_t>(world_);
+
+    // shard_grads[src] holds, in my local shard order, a (b_local x d)
+    // gradient block per shard; global sample src * b_local + b is row b
+    // of source src's block. Every occurrence of a sample's bag points at
     // that row in place.
+    const auto& recv = exchange.shard_grads;
     std::vector<ops::SparseGradRef> refs;
     std::vector<const float*> block(world_);
     std::vector<size_t> cursor(world_, 0);
@@ -403,9 +409,6 @@ DistributedDlrm::ExchangeGradsAndUpdate(const PreparedInput& prepared,
             }
             offset += lens[b];
         }
-        if (txn_ != nullptr) {
-            txn_->CaptureShardRows(i, refs);
-        }
         if (options_.exact_sparse_update) {
             shard.optimizer.ApplyExact(shard.table, refs);
         } else {
@@ -415,14 +418,13 @@ DistributedDlrm::ExchangeGradsAndUpdate(const PreparedInput& prepared,
 }
 
 void
-DistributedDlrm::UpdateDpTables(const PreparedInput& prepared,
-                                const std::vector<Matrix>& grad_pooled)
+DistributedDlrm::ExchangeDpGrads(const PreparedInput& prepared,
+                                 const std::vector<Matrix>& grad_pooled,
+                                 GradExchange& exchange)
 {
     if (dp_tables_.empty()) {
         return;
     }
-    const size_t b_local = prepared.local_batch;
-
     // Replicas must apply identical updates, so every worker broadcasts
     // its local (lengths, indices, gradients) and all replicas apply the
     // assembled global update — the sparse analogue of the DP AllReduce.
@@ -443,38 +445,40 @@ DistributedDlrm::UpdateDpTables(const PreparedInput& prepared,
     std::vector<std::vector<uint32_t>> send_len(world_, len_payload);
     std::vector<std::vector<int64_t>> send_idx(world_, idx_payload);
     std::vector<std::vector<float>> send_grad(world_, grad_payload);
-    std::vector<std::vector<uint32_t>> recv_len;
-    std::vector<std::vector<int64_t>> recv_idx;
-    std::vector<std::vector<float>> recv_grad;
-    pg_.AllToAllLengths(send_len, recv_len);
-    pg_.AllToAllIndices(send_idx, recv_idx);
-    pg_.AllToAllFloats(send_grad, recv_grad);
+    pg_.AllToAllLengths(send_len, exchange.dp_lengths);
+    pg_.AllToAllIndices(send_idx, exchange.dp_indices);
+    pg_.AllToAllFloats(send_grad, exchange.dp_grads);
+}
 
+void
+DistributedDlrm::ApplyDpGrads(const PreparedInput& prepared,
+                              const GradExchange& exchange)
+{
+    const size_t b_local = prepared.local_batch;
     const size_t d = config_.EmbeddingDim();
     std::vector<size_t> len_cursor(world_, 0);
     std::vector<size_t> idx_cursor(world_, 0);
     std::vector<size_t> grad_cursor(world_, 0);
     std::vector<ops::SparseGradRef> refs;
-    for (size_t dpi = 0; dpi < dp_tables_.size(); dpi++) {
-        auto& dp = dp_tables_[dpi];
+    for (auto& dp : dp_tables_) {
         refs.clear();
         for (int src = 0; src < world_; src++) {
-            const uint32_t* lens = recv_len[src].data() + len_cursor[src];
-            const float* grads = recv_grad[src].data() + grad_cursor[src];
+            const uint32_t* lens =
+                exchange.dp_lengths[src].data() + len_cursor[src];
+            const int64_t* idx = exchange.dp_indices[src].data();
+            const float* grads =
+                exchange.dp_grads[src].data() + grad_cursor[src];
             size_t offset = idx_cursor[src];
             for (size_t b = 0; b < b_local; b++) {
                 const float* g = grads + b * d;
                 for (uint32_t k = 0; k < lens[b]; k++) {
-                    refs.push_back({recv_idx[src][offset + k], g});
+                    refs.push_back({idx[offset + k], g});
                 }
                 offset += lens[b];
             }
             len_cursor[src] += b_local;
             grad_cursor[src] += b_local * d;
             idx_cursor[src] = offset;
-        }
-        if (txn_ != nullptr) {
-            txn_->CaptureDpRows(dpi, refs);
         }
         if (options_.exact_sparse_update) {
             dp.optimizer.ApplyExact(dp.replica, refs);

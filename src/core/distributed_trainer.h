@@ -13,8 +13,8 @@
  * The training step follows the paper's dependency graph (Fig. 9):
  * input AllToAll -> embedding lookup -> pooled AllToAll (optionally FP16
  * quantized) -> interaction -> top MLP -> loss -> backward -> gradient
- * AllToAll (optionally BF16) -> fused exact embedding update, with the MLP
- * AllReduce at the end of the backward pass.
+ * AllToAll (optionally BF16) and MLP AllReduce -> fused exact embedding
+ * update and dense update. All updates run after the last collective.
  */
 #pragma once
 
@@ -37,7 +37,6 @@
 
 namespace neo::core {
 
-class StepTransaction;
 class DistributedCheckpointer;
 
 /** Trainer knobs beyond the model config. */
@@ -60,14 +59,6 @@ struct DistributedOptions {
     std::chrono::milliseconds max_retry_backoff{2000};
     /** Deadline for the all-rank recovery rendezvous after a failure. */
     std::chrono::milliseconds recover_timeout{2000};
-    /**
-     * Snapshot-and-rollback retries (exactly-once): each attempt runs
-     * under a StepTransaction whose undo log restores partially-applied
-     * sparse/dense updates before the retry, so a retried step is
-     * bit-identical to a fault-free one. False = legacy at-least-once
-     * retries that may double-apply updates.
-     */
-    bool transactional_retry = true;
 
     // ---- telemetry ----
 
@@ -149,7 +140,16 @@ class DistributedDlrm
      */
     PreparedInput PrepareInput(const data::Batch& local_batch);
 
-    /** Full training step on a prepared input. Returns global mean loss. */
+    /**
+     * Full training step on a prepared input. Returns global mean loss.
+     *
+     * Every collective of the step (loss AllReduce, gradient AllToAll,
+     * DP-table AllToAlls, MLP-grad AllReduce) completes before the first
+     * write to a table, an optimizer moment or an MLP. The last
+     * collective is the step's commit point: a comm::RankFailure thrown
+     * out of this call leaves the model in its pre-step state on every
+     * rank.
+     */
     double TrainStepPrepared(PreparedInput& prepared);
 
     /** Convenience: PrepareInput + TrainStepPrepared. */
@@ -160,13 +160,12 @@ class DistributedDlrm
      * structured per-rank report instead of unwinding. When the failure
      * is transient and `max_step_retries` allows, every rank backs off
      * exponentially, rendezvouses via ProcessGroup::Recover, and retries
-     * the step from PrepareInput. With `transactional_retry` (default),
-     * each attempt runs under a StepTransaction that rolls partial
-     * sparse/dense mutations back before the retry — exactly-once
-     * semantics, losses bit-identical to a fault-free run. Without it,
-     * retries are at-least-once and may double-apply updates. On a
-     * non-retryable failure the rollback still runs, leaving clean
-     * pre-step state for elastic recovery (see core/elastic.h).
+     * the step from PrepareInput. A failed attempt never got past the
+     * step's commit point (see TrainStepPrepared), so every retry starts
+     * from the exact pre-step state: exactly-once semantics, losses
+     * bit-identical to a fault-free run. A non-retryable failure leaves
+     * that same clean pre-step state for elastic recovery (see
+     * core/elastic.h).
      */
     StepResult TrainStepWithRecovery(const data::Batch& local_batch);
 
@@ -175,7 +174,7 @@ class DistributedDlrm
      * TrainStepPrepared on the same PreparedInput (which step execution
      * never mutates), skipping the input AllToAll — the retry shape the
      * pipelined driver needs, where the failed step's input was routed
-     * one Push earlier. Same transaction/rollback/rendezvous semantics as
+     * one Push earlier. Same retry/rendezvous semantics as
      * TrainStepWithRecovery.
      */
     StepResult TrainStepPreparedWithRecovery(PreparedInput& prepared);
@@ -229,26 +228,43 @@ class DistributedDlrm
     const DistributedOptions& options() const { return options_; }
 
   private:
-    friend class StepTransaction;
     friend class DistributedCheckpointer;
 
     // -- construction helpers --
     void BuildShards();
 
     /** Shared retry loop of the *WithRecovery entry points: runs
-     *  `attempt` under an optional StepTransaction with rollback,
-     *  backoff, and the all-rank recovery rendezvous. */
+     *  `attempt` with backoff and the all-rank recovery rendezvous. No
+     *  rollback is needed: a failed attempt never passed its commit
+     *  point. */
     StepResult RunStepWithRecovery(const std::function<double()>& attempt);
 
     // -- step phases --
     /** Pooled lookup of every table for this rank's local batch. */
     void ForwardEmbeddings(const PreparedInput& prepared,
                            std::vector<Matrix>& pooled);
-    void ExchangeGradsAndUpdate(const PreparedInput& prepared,
-                                const std::vector<Matrix>& grad_pooled);
-    void UpdateDpTables(const PreparedInput& prepared,
-                        const std::vector<Matrix>& grad_pooled);
+    /** Receive buffers of the step's sparse-gradient exchanges. They
+     *  stay alive until the apply phases, which point into them. */
+    struct GradExchange {
+        /** Gradient AllToAll: per-source blocks for the local shards. */
+        std::vector<std::vector<float>> shard_grads;
+        /** DP-table AllToAlls: per-source lengths, indices, gradients. */
+        std::vector<std::vector<uint32_t>> dp_lengths;
+        std::vector<std::vector<int64_t>> dp_indices;
+        std::vector<std::vector<float>> dp_grads;
+    };
+    void ExchangeShardGrads(const PreparedInput& prepared,
+                            const std::vector<Matrix>& grad_pooled,
+                            GradExchange& exchange);
+    void ExchangeDpGrads(const PreparedInput& prepared,
+                         const std::vector<Matrix>& grad_pooled,
+                         GradExchange& exchange);
     void AllReduceMlpGrads();
+    /** Sparse updates; run only after the commit point. */
+    void ApplyShardGrads(const PreparedInput& prepared,
+                         const GradExchange& exchange);
+    void ApplyDpGrads(const PreparedInput& prepared,
+                      const GradExchange& exchange);
 
     DlrmConfig config_;
     sharding::ShardingPlan plan_;
@@ -279,11 +295,6 @@ class DistributedDlrm
 
     /** Scratch: flat MLP gradient buffer for the AllReduce. */
     std::vector<float> grad_buffer_;
-
-    /** Active step transaction; update phases call its capture hooks
-     *  immediately before mutating state. Null outside transactional
-     *  retries. */
-    StepTransaction* txn_ = nullptr;
 
     /** Rank-0 periodic metrics exposition (inert without a telemetry
      *  directory); stops itself on destruction. */

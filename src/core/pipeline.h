@@ -16,12 +16,11 @@
  * batch, and the training collectives run in the same order on the same
  * communicator either way.
  *
- * When DistributedOptions::transactional_retry is set (the default),
- * pipelined steps run under the same StepTransaction rollback/retry
- * machinery as TrainStepWithRecovery — a mid-step failure rolls the
- * partial sparse/dense mutations back before any retry, and an
- * unrecoverable failure surfaces as comm::RankFailure with clean
- * pre-step state for elastic recovery.
+ * Pipelined steps run through TrainStepPreparedWithRecovery, the same
+ * retry loop as TrainStepWithRecovery. A failure can only land before
+ * the step's commit point (its last collective), so a retry starts from
+ * the pre-step state, and an unrecoverable failure surfaces as
+ * comm::RankFailure with that clean state for elastic recovery.
  */
 #pragma once
 
@@ -63,9 +62,9 @@ class PipelinedTrainer
 
   private:
     /**
-     * Train the pending batch: transactional retry when the trainer's
-     * options ask for it, raw TrainStepPrepared otherwise. Throws
-     * comm::RankFailure (after rollback) when the step cannot complete.
+     * Train the pending batch through the trainer's retry loop. Throws
+     * comm::RankFailure, with the model untouched, when the step cannot
+     * complete.
      */
     double TrainPending();
 

@@ -148,8 +148,8 @@ class SparseOptimizer
      * Floats of optimizer state per row in the Export/ImportRowState
      * layout: 0 (SGD), dim (AdaGrad), 1 (row-wise AdaGrad), 2*dim + 1
      * (Adam: m, v, step). Identical across ranks for a given config, so
-     * checkpoints and rollback snapshots can move row state between
-     * differently-sharded optimizers of the same kind.
+     * checkpoints can move row state between differently-sharded
+     * optimizers of the same kind.
      */
     size_t StateFloatsPerRow() const;
 

@@ -209,6 +209,12 @@ Server::CompleteBatch(std::vector<Pending>& batch,
                            : 0.8 * prev + 0.2 * batch_seconds;
     } while (!ewma_batch_seconds_.compare_exchange_weak(
         prev, next, std::memory_order_relaxed));
+    // Count the batch before its promises resolve too: a client holding
+    // its response must see its batch counted.
+    metrics.GetCounter("neo.serve.batches").Add();
+    metrics.GetHistogram("neo.serve.batch_seconds").Observe(batch_seconds);
+    metrics.GetHistogram("neo.serve.batch_size")
+        .Observe(static_cast<double>(batch.size()));
     for (size_t i = 0; i < batch.size(); i++) {
         Response response;
         response.id = batch[i].request.id;
@@ -224,10 +230,6 @@ Server::CompleteBatch(std::vector<Pending>& batch,
             .Observe(response.total_seconds);
         batch[i].promise.set_value(std::move(response));
     }
-    metrics.GetCounter("neo.serve.batches").Add();
-    metrics.GetHistogram("neo.serve.batch_seconds").Observe(batch_seconds);
-    metrics.GetHistogram("neo.serve.batch_size")
-        .Observe(static_cast<double>(batch.size()));
 
     // Per-version gauges for the scrape plane: a router watching the
     // exposition can see each model version's throughput and tails and
@@ -486,11 +488,13 @@ Server::RankLoop(int rank, comm::ProcessGroup& pg)
                 engine.Prefetch(slot_.snapshot);
                 pg.Barrier();
                 if (rank == 0) {
-                    active_warm_->promise.set_value(true);
-                    active_warm_.reset();
+                    // Count before fulfilling: a Prewarm caller that
+                    // returned must see its warm-up counted.
                     obs::MetricsRegistry::Get()
                         .GetCounter("neo.serve.prewarms")
                         .Add();
+                    active_warm_->promise.set_value(true);
+                    active_warm_.reset();
                 }
                 continue;
             }

@@ -17,6 +17,7 @@
 #include "comm/fault.h"
 #include "comm/threaded_process_group.h"
 #include "common/parallel_for.h"
+#include "common/serialize.h"
 #include "core/checkpoint.h"
 #include "core/distributed_trainer.h"
 #include "core/dlrm_config.h"
@@ -119,6 +120,60 @@ ForcedPlan(const DlrmConfig& model, int workers, sharding::Scheme scheme)
           default:
             ADD_FAILURE() << "unsupported forced scheme";
         }
+    }
+    return plan;
+}
+
+/** One table per scheme over 4 workers: table 0 row-wise across all
+ *  workers, table 1 column-wise halves on workers 1 and 2, table 2
+ *  data-parallel, table 3 table-wise on worker 3. */
+sharding::ShardingPlan
+MixedSchemePlan(const DlrmConfig& model, int workers)
+{
+    sharding::ShardingPlan plan;
+    plan.worker_cost.assign(workers, 0.0);
+    plan.worker_memory.assign(workers, 0.0);
+
+    {  // table 0: row-wise across all workers
+        for (int s = 0; s < workers; s++) {
+            sharding::Shard shard;
+            shard.table = 0;
+            shard.scheme = sharding::Scheme::kRowWise;
+            shard.row_begin = model.tables[0].rows * s / workers;
+            shard.row_end = model.tables[0].rows * (s + 1) / workers;
+            shard.col_end = model.tables[0].dim;
+            shard.worker = s;
+            plan.shards.push_back(shard);
+        }
+    }
+    {  // table 1: column-wise halves on workers 1 and 2
+        for (int s = 0; s < 2; s++) {
+            sharding::Shard shard;
+            shard.table = 1;
+            shard.scheme = sharding::Scheme::kColumnWise;
+            shard.row_end = model.tables[1].rows;
+            shard.col_begin = s * model.tables[1].dim / 2;
+            shard.col_end = (s + 1) * model.tables[1].dim / 2;
+            shard.worker = 1 + s;
+            plan.shards.push_back(shard);
+        }
+    }
+    {  // table 2: data-parallel replica everywhere
+        sharding::Shard shard;
+        shard.table = 2;
+        shard.scheme = sharding::Scheme::kDataParallel;
+        shard.row_end = model.tables[2].rows;
+        shard.col_end = model.tables[2].dim;
+        plan.shards.push_back(shard);
+    }
+    {  // table 3: table-wise on worker 3
+        sharding::Shard shard;
+        shard.table = 3;
+        shard.scheme = sharding::Scheme::kTableWise;
+        shard.row_end = model.tables[3].rows;
+        shard.col_end = model.tables[3].dim;
+        shard.worker = 3;
+        plan.shards.push_back(shard);
     }
     return plan;
 }
@@ -857,51 +912,7 @@ TEST(Distributed, MixedSchemePlanTrainsCloseToReference)
     DlrmConfig model = core::MakeSmallDlrmConfig(4, 200, 16);
     model.sparse_optimizer.kind = ops::SparseOptimizerKind::kSgd;
     const int workers = 4;
-    sharding::ShardingPlan plan;
-    plan.worker_cost.assign(workers, 0.0);
-    plan.worker_memory.assign(workers, 0.0);
-
-    {  // table 0: row-wise across all workers
-        for (int s = 0; s < workers; s++) {
-            sharding::Shard shard;
-            shard.table = 0;
-            shard.scheme = sharding::Scheme::kRowWise;
-            shard.row_begin = model.tables[0].rows * s / workers;
-            shard.row_end = model.tables[0].rows * (s + 1) / workers;
-            shard.col_end = model.tables[0].dim;
-            shard.worker = s;
-            plan.shards.push_back(shard);
-        }
-    }
-    {  // table 1: column-wise halves on workers 1 and 2
-        for (int s = 0; s < 2; s++) {
-            sharding::Shard shard;
-            shard.table = 1;
-            shard.scheme = sharding::Scheme::kColumnWise;
-            shard.row_end = model.tables[1].rows;
-            shard.col_begin = s * model.tables[1].dim / 2;
-            shard.col_end = (s + 1) * model.tables[1].dim / 2;
-            shard.worker = 1 + s;
-            plan.shards.push_back(shard);
-        }
-    }
-    {  // table 2: data-parallel replica everywhere
-        sharding::Shard shard;
-        shard.table = 2;
-        shard.scheme = sharding::Scheme::kDataParallel;
-        shard.row_end = model.tables[2].rows;
-        shard.col_end = model.tables[2].dim;
-        plan.shards.push_back(shard);
-    }
-    {  // table 3: table-wise on worker 3
-        sharding::Shard shard;
-        shard.table = 3;
-        shard.scheme = sharding::Scheme::kTableWise;
-        shard.row_end = model.tables[3].rows;
-        shard.col_end = model.tables[3].dim;
-        shard.worker = 3;
-        plan.shards.push_back(shard);
-    }
+    const sharding::ShardingPlan plan = MixedSchemePlan(model, workers);
 
     const Matrix dist = TrainDistributed(model, plan, workers, 5, 32);
     const Matrix ref = TrainReference(model, 5, 32);
@@ -1075,7 +1086,7 @@ TEST(Distributed, PermanentFaultReportsStructuredFailure)
 namespace neo {
 namespace {
 
-// ------------------- transactional rollback & shrinking-world recovery
+// ------------------- mid-step retries & shrinking-world recovery
 
 using core::CheckpointStore;
 using core::DistributedCheckpointer;
@@ -1099,13 +1110,13 @@ SliceGlobal(const data::Batch& global, int rank, size_t local_batch)
 }
 
 /**
- * The tentpole exactly-once guarantee: a transient kill injected into the
- * MLP-gradient AllReduce — AFTER the sparse optimizer already mutated the
- * embedding shards, BEFORE the dense apply — is rolled back by the
- * StepTransaction, so the retried step (and everything after it) is
- * bitwise identical to a fault-free run on every rank.
+ * The exactly-once guarantee: a transient kill injected into the
+ * MLP-gradient AllReduce — the step's last collective, after the loss
+ * and gradient exchanges — is retried from the untouched pre-step state,
+ * so the retried step (and everything after it) is bitwise identical to
+ * a fault-free run on every rank.
  */
-TEST(Distributed, RollbackMakesMidStepRetryBitIdentical)
+TEST(Distributed, MidStepRetryIsBitIdentical)
 {
     using std::chrono::milliseconds;
     DlrmConfig model = core::MakeSmallDlrmConfig(4, 128, 16);
@@ -1115,8 +1126,8 @@ TEST(Distributed, RollbackMakesMidStepRetryBitIdentical)
     const int steps = 3;
     const int kill_step = 1;
     // Table-wise only: exactly 2 AllReduces per step (loss, MLP grads),
-    // so the MLP-grads AllReduce of step s is per-op index 2s + 1 —
-    // between the sparse apply and the dense apply.
+    // so the MLP-grads AllReduce of step s is per-op index 2s + 1 — the
+    // step's commit point.
     const sharding::ShardingPlan plan =
         ForcedPlan(model, workers, sharding::Scheme::kTableWise);
 
@@ -1125,11 +1136,8 @@ TEST(Distributed, RollbackMakesMidStepRetryBitIdentical)
     options.retry_backoff = milliseconds(1);
     options.recover_timeout = milliseconds(5000);
 
-    auto run_faulted = [&](bool transactional,
-                           std::vector<std::vector<StepResult>>& results,
+    auto run_faulted = [&](std::vector<std::vector<StepResult>>& results,
                            Matrix& logits_out) {
-        DistributedOptions opt = options;
-        opt.transactional_retry = transactional;
         comm::FaultInjector injector;
         comm::FaultSpec kill;
         kill.rank = 2;
@@ -1147,7 +1155,7 @@ TEST(Distributed, RollbackMakesMidStepRetryBitIdentical)
         logits_out = Matrix(global_batch, 1);
         comm::ThreadedWorld::Run(
             workers, world_options, [&](int rank, comm::ProcessGroup& pg) {
-                DistributedDlrm trainer(model, plan, pg, opt);
+                DistributedDlrm trainer(model, plan, pg, options);
                 data::SyntheticCtrDataset dataset(MakeDataConfig(model));
                 for (int s = 0; s < steps; s++) {
                     const data::Batch local = SliceGlobal(
@@ -1190,36 +1198,139 @@ TEST(Distributed, RollbackMakesMidStepRetryBitIdentical)
             }
         });
 
-    // Transactional: every loss bitwise-equal to the fault-free run.
-    std::vector<std::vector<StepResult>> txn_results;
-    Matrix txn_logits;
-    run_faulted(true, txn_results, txn_logits);
+    // Every loss bitwise-equal to the fault-free run.
+    std::vector<std::vector<StepResult>> faulted_results;
+    Matrix faulted_logits;
+    run_faulted(faulted_results, faulted_logits);
     for (int r = 0; r < workers; r++) {
         SCOPED_TRACE("rank " + std::to_string(r));
         for (int s = 0; s < steps; s++) {
             SCOPED_TRACE("step " + std::to_string(s));
-            EXPECT_TRUE(txn_results[r][s].ok);
-            EXPECT_EQ(txn_results[r][s].attempts, s == kill_step ? 2 : 1);
+            EXPECT_TRUE(faulted_results[r][s].ok);
+            EXPECT_EQ(faulted_results[r][s].attempts, s == kill_step ? 2 : 1);
             if (s == kill_step) {
-                ASSERT_EQ(txn_results[r][s].failures.size(), 1u);
-                EXPECT_EQ(txn_results[r][s].failures[0].failed_rank, 2);
-                EXPECT_TRUE(txn_results[r][s].failures[0].transient);
+                ASSERT_EQ(faulted_results[r][s].failures.size(), 1u);
+                EXPECT_EQ(faulted_results[r][s].failures[0].failed_rank, 2);
+                EXPECT_TRUE(faulted_results[r][s].failures[0].transient);
             }
-            EXPECT_EQ(txn_results[r][s].loss, clean[r][s]);
+            EXPECT_EQ(faulted_results[r][s].loss, clean[r][s]);
         }
     }
-    EXPECT_TRUE(Matrix::Identical(txn_logits, clean_logits));
+    EXPECT_TRUE(Matrix::Identical(faulted_logits, clean_logits));
+}
 
-    // Control: the legacy at-least-once path re-applies the already-
-    // applied sparse update, so the retried step's loss diverges. This
-    // pins that the kill point really lands after a partial mutation —
-    // i.e. that the transactional run above proved something.
-    std::vector<std::vector<StepResult>> legacy_results;
-    Matrix legacy_logits;
-    run_faulted(false, legacy_results, legacy_logits);
-    for (int r = 0; r < workers; r++) {
-        EXPECT_TRUE(legacy_results[r][kill_step].ok);
-        EXPECT_NE(legacy_results[r][kill_step].loss, clean[r][kill_step]);
+/** Every byte of model state one rank holds: SaveLocal's shards, DP
+ *  replicas and MLPs, then every row's sparse optimizer state. */
+std::vector<uint8_t>
+LocalModelState(const DistributedDlrm& trainer)
+{
+    BinaryWriter writer;
+    trainer.SaveLocal(writer);
+    const auto write_rows = [&](const ops::EmbeddingTable& table,
+                                const ops::SparseOptimizer& optimizer) {
+        std::vector<float> row(optimizer.StateFloatsPerRow());
+        for (int64_t r = 0; r < table.rows(); r++) {
+            optimizer.ExportRowState(r, row.data());
+            writer.WriteVector(row);
+        }
+    };
+    for (size_t i = 0; i < trainer.NumLocalShards(); i++) {
+        write_rows(trainer.local_shard(i).table,
+                   trainer.local_shard(i).optimizer);
+    }
+    for (size_t i = 0; i < trainer.NumDpTables(); i++) {
+        write_rows(trainer.dp_table(i).replica, trainer.dp_table(i).optimizer);
+    }
+    return writer.buffer();
+}
+
+/**
+ * The step's commit point: every collective of TrainStepPrepared
+ * completes before its first write to a table, an optimizer moment or an
+ * MLP. A rank killed at any one of them therefore leaves every rank's
+ * model exactly in its pre-step state, which is what lets the retry loop
+ * work without an undo log. One run per collective of the step, over a
+ * plan that mixes TW, RW, CW and DP tables.
+ */
+TEST(Distributed, CommitPointKillAtAnyCollectiveLeavesModelUntouched)
+{
+    using std::chrono::milliseconds;
+    DlrmConfig model = core::MakeSmallDlrmConfig(4, 200, 16);
+    model.sparse_optimizer.kind = ops::SparseOptimizerKind::kAdam;
+    const int workers = 4;
+    const size_t global_batch = 32;
+    const size_t local_batch = global_batch / workers;
+    const sharding::ShardingPlan plan = MixedSchemePlan(model, workers);
+
+    // One warm-up step (non-zero moments), then the prepared step under
+    // test. Returns this rank's collective count when the step starts.
+    const auto run = [&](DistributedDlrm& trainer, comm::ProcessGroup& pg,
+                         int rank, std::vector<uint8_t>& before) {
+        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        trainer.TrainStep(
+            SliceGlobal(dataset.NextBatch(global_batch), rank, local_batch));
+        DistributedDlrm::PreparedInput prepared = trainer.PrepareInput(
+            SliceGlobal(dataset.NextBatch(global_batch), rank, local_batch));
+        before = LocalModelState(trainer);
+        const uint64_t step_begin = pg.Stats().calls;
+        trainer.TrainStepPrepared(prepared);
+        return step_begin;
+    };
+
+    // Fault-free pass: the step's collectives are call indices
+    // [step_begin, step_end), identical on every rank.
+    std::vector<uint64_t> step_begin(workers), step_end(workers);
+    comm::ThreadedWorld::Run(
+        workers, [&](int rank, comm::ProcessGroup& pg) {
+            DistributedDlrm trainer(model, plan, pg);
+            std::vector<uint8_t> before;
+            step_begin[rank] = run(trainer, pg, rank, before);
+            step_end[rank] = pg.Stats().calls;
+            EXPECT_NE(LocalModelState(trainer), before);
+        });
+    for (int r = 1; r < workers; r++) {
+        ASSERT_EQ(step_begin[r], step_begin[0]);
+        ASSERT_EQ(step_end[r], step_end[0]);
+    }
+    // At least: forward pooled exchange, loss AllReduce, gradient
+    // AllToAll, three DP-table AllToAlls, MLP-grad AllReduce.
+    ASSERT_GE(step_end[0] - step_begin[0], 7u);
+
+    for (uint64_t call = step_begin[0]; call < step_end[0]; call++) {
+        comm::FaultInjector injector;
+        comm::FaultSpec kill;
+        kill.rank = static_cast<int>(call % workers);
+        kill.call_index = call;
+        kill.kind = comm::FaultKind::kKill;
+        kill.transient = true;
+        injector.Arm(kill);
+        comm::ThreadedWorld::Options world_options;
+        world_options.injector = &injector;
+        world_options.barrier_timeout = milliseconds(20000);
+
+        std::vector<int> failed(workers, 0);
+        std::vector<int> untouched(workers, 0);
+        comm::ThreadedWorld::Run(
+            workers, world_options, [&](int rank, comm::ProcessGroup& pg) {
+                DistributedDlrm trainer(model, plan, pg);
+                std::vector<uint8_t> before;
+                try {
+                    run(trainer, pg, rank, before);
+                } catch (const comm::RankFailure&) {
+                    failed[rank] = 1;
+                }
+                untouched[rank] = LocalModelState(trainer) == before;
+            });
+        const std::vector<comm::FaultEvent> fired = injector.Fired();
+        ASSERT_EQ(fired.size(), 1u) << "collective " << call;
+        SCOPED_TRACE("kill of rank " + std::to_string(kill.rank) +
+                     " at collective " + std::to_string(call) + " (" +
+                     comm::CollectiveOpName(fired[0].op) + ")");
+        for (int r = 0; r < workers; r++) {
+            SCOPED_TRACE("rank " + std::to_string(r));
+            EXPECT_TRUE(failed[r]);
+            EXPECT_TRUE(untouched[r]);
+        }
     }
 }
 
@@ -1380,14 +1491,13 @@ TEST(Distributed, PermanentDeathShrinksReshardsAndConverges)
 
 /**
  * Regression for the pipelining/recovery gap: pipelined steps used to
- * call raw TrainStepPrepared, bypassing the transactional retry loop, so
- * a mid-step kill under pipelining either crashed the job or (worse)
- * retried on top of half-applied state. Now a transient kill injected
- * into the MLP-gradient AllReduce of a pipelined step — after the sparse
- * apply, before the dense apply — rolls back and retries, and every loss
- * stays bitwise identical to a fault-free unpipelined run.
+ * call raw TrainStepPrepared, bypassing the retry loop, so a mid-step
+ * kill under pipelining crashed the job. Now a transient kill injected
+ * into the MLP-gradient AllReduce of a pipelined step — its last
+ * collective — is retried, and every loss stays bitwise identical to a
+ * fault-free unpipelined run.
  */
-TEST(Distributed, PipelinedMidStepKillRollbackIsBitIdentical)
+TEST(Distributed, PipelinedMidStepKillIsBitIdentical)
 {
     using std::chrono::milliseconds;
     DlrmConfig model = core::MakeSmallDlrmConfig(4, 128, 16);
@@ -1404,7 +1514,6 @@ TEST(Distributed, PipelinedMidStepKillRollbackIsBitIdentical)
         ForcedPlan(model, workers, sharding::Scheme::kTableWise);
 
     DistributedOptions options;
-    options.transactional_retry = true;
     options.max_step_retries = 2;
     options.retry_backoff = milliseconds(1);
     options.recover_timeout = milliseconds(5000);

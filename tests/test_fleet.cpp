@@ -687,6 +687,78 @@ TEST(Fleet, CompletedCountNeverLagsResponses)
     host.Stop();
 }
 
+/** The serve loop counts before it fulfils, like the router: the moment
+ *  Prewarm returns, its warm-up is in neo.serve.prewarms, and the moment
+ *  a response resolves, its batch is in neo.serve.batches and the batch
+ *  histograms. */
+TEST(Fleet, ServerCountersNeverLagFulfilment)
+{
+    const int workers = 2;
+    TrainedVersions trained = TrainVersions(workers, /*versions=*/2);
+    serve::ServerOptions sopts;
+    sopts.batcher.max_batch = 8;
+    sopts.batcher.max_delay_us = 100;
+    serve::ReplicaHost host(trained.model.num_dense,
+                            trained.model.tables.size(), workers, sopts);
+    serve::Server& server = host.server();
+
+    auto& metrics = obs::MetricsRegistry::Get();
+    const obs::Counter& prewarms = metrics.GetCounter("neo.serve.prewarms");
+    const obs::Counter& batches = metrics.GetCounter("neo.serve.batches");
+    const obs::Histogram& batch_seconds =
+        metrics.GetHistogram("neo.serve.batch_seconds");
+    const obs::Histogram& batch_size =
+        metrics.GetHistogram("neo.serve.batch_size");
+
+    for (int v = 1; v <= 2; v++) {
+        const uint64_t before = prewarms.value();
+        ASSERT_TRUE(server.Prewarm(trained.snaps[v]));
+        EXPECT_EQ(prewarms.value() - before, 1u) << "version " << v;
+        server.Publish(trained.snaps[v]);
+    }
+
+    const uint64_t batches0 = batches.value();
+    const uint64_t seconds0 = batch_seconds.GetSnapshot().count;
+    const obs::Histogram::Snapshot size0 = batch_size.GetSnapshot();
+    const size_t global_batch = trained.eval.dense.rows();
+    uint64_t id = 0;
+    uint64_t received = 0;
+    // One request in flight at a time: each response is its own batch.
+    for (int i = 0; i < 50; i++) {
+        serve::Ticket ticket =
+            server.Submit(RequestFor(trained.eval, id % global_batch, id));
+        id++;
+        ASSERT_EQ(ticket.admission, serve::Admission::kAccepted);
+        ASSERT_EQ(ticket.response.get().status, serve::ResponseStatus::kOk);
+        received++;
+        EXPECT_GE(batches.value() - batches0, received);
+        EXPECT_GE(batch_seconds.GetSnapshot().count - seconds0, received);
+        EXPECT_GE(batch_size.GetSnapshot().count - size0.count, received);
+    }
+    // Bursts: every resolved request sits in an observed batch size. The
+    // histogram's sum is a floating-point fold of integer sizes, hence
+    // the half-request slack.
+    for (int burst = 0; burst < 10; burst++) {
+        std::vector<serve::Ticket> tickets;
+        for (int i = 0; i < 16; i++) {
+            tickets.push_back(server.Submit(
+                RequestFor(trained.eval, id % global_batch, id)));
+            id++;
+            ASSERT_EQ(tickets.back().admission,
+                      serve::Admission::kAccepted);
+        }
+        for (auto& ticket : tickets) {
+            ASSERT_EQ(ticket.response.get().status,
+                      serve::ResponseStatus::kOk);
+            received++;
+            EXPECT_GT(batch_size.GetSnapshot().sum - size0.sum,
+                      static_cast<double>(received) - 0.5);
+        }
+    }
+
+    host.Stop();
+}
+
 // ---------------------------------------------------------------------
 // Conservative failure knobs surface as replica-unhealthy, not hangs
 // ---------------------------------------------------------------------

@@ -664,8 +664,8 @@ TEST(SparseOptimizer, StateFloatsPerRowMatchesLayout)
 /**
  * Export/ImportRowState must move the whole per-row algorithm state: an
  * optimizer rebuilt from exported state continues training bit-identically
- * to the original. This is the invariant the rollback undo log and the
- * distributed checkpointer rely on.
+ * to the original. This is the invariant the distributed checkpointer
+ * relies on.
  */
 TEST(SparseOptimizer, ExportImportRowStateResumesBitIdentically)
 {
@@ -768,7 +768,8 @@ StatesIdentical(const SparseOptimizer& a, const SparseOptimizer& b,
     for (int64_t r = 0; r < rows; r++) {
         a.ExportRowState(r, sa.data());
         b.ExportRowState(r, sb.data());
-        if (std::memcmp(sa.data(), sb.data(), n * sizeof(float)) != 0) {
+        if (n > 0 &&
+            std::memcmp(sa.data(), sb.data(), n * sizeof(float)) != 0) {
             return false;
         }
     }
