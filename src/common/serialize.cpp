@@ -43,23 +43,25 @@ BinaryReader::LoadFromFile(const std::string& path)
 std::string
 BinaryReader::ReadString()
 {
-    const uint64_t n = Read<uint64_t>();
-    NEO_REQUIRE(pos_ + n <= buffer_.size(), "truncated string");
+    const uint64_t n = ReadCount(1);
     std::string s(reinterpret_cast<const char*>(buffer_.data() + pos_), n);
     pos_ += n;
     return s;
 }
 
-void
-BinaryReader::RequireRemaining(uint64_t count, size_t elem_size) const
+uint64_t
+BinaryReader::ReadCount(size_t min_elem_size)
 {
-    // Divide instead of multiplying so a hostile 2^60-ish length prefix
-    // cannot overflow the byte count and slip past the bounds check.
+    const uint64_t count = Read<uint64_t>();
+    // Divide instead of multiplying so a hostile 2^60-ish count cannot
+    // overflow the byte count and slip past the bounds check.
     const uint64_t remaining = buffer_.size() - pos_;
-    NEO_REQUIRE(count <= remaining / elem_size,
-                "truncated or corrupt input: length prefix claims ", count,
-                " elements of ", elem_size, " bytes but only ", remaining,
-                " bytes remain at offset ", pos_);
+    NEO_REQUIRE(count <= remaining / min_elem_size,
+                "truncated or corrupt input: count claims ", count,
+                " elements of at least ", min_elem_size,
+                " bytes but only ", remaining, " bytes remain at offset ",
+                pos_);
+    return count;
 }
 
 void

@@ -89,24 +89,26 @@ class BinaryReader
     ReadVector()
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        const uint64_t n = Read<uint64_t>();
-        // Validate the untrusted length prefix BEFORE allocating: a
-        // corrupt prefix must fail like any other truncation, not turn
-        // into a huge allocation or size_t overflow in n * sizeof(T).
-        RequireRemaining(n, sizeof(T));
+        const uint64_t n = ReadCount(sizeof(T));
         std::vector<T, Alloc> v(n);
         ReadBytes(reinterpret_cast<uint8_t*>(v.data()), n * sizeof(T));
         return v;
     }
+
+    /**
+     * Read an untrusted element count and validate it BEFORE anything is
+     * allocated for it: throws std::runtime_error unless `count` elements
+     * of at least `min_elem_size` bytes each still fit in the input, so a
+     * corrupt count fails like any other truncation instead of turning
+     * into a huge allocation or a size_t overflow.
+     */
+    uint64_t ReadCount(size_t min_elem_size);
 
     /** True once all bytes have been consumed. */
     bool AtEnd() const { return pos_ == buffer_.size(); }
 
   private:
     void ReadBytes(uint8_t* dst, size_t n);
-
-    /** Throw unless `count` elements of `elem_size` bytes remain. */
-    void RequireRemaining(uint64_t count, size_t elem_size) const;
 
     std::vector<uint8_t> buffer_;
     size_t pos_ = 0;

@@ -82,6 +82,115 @@ DeltaFileName(size_t seq)
     return name;
 }
 
+/**
+ * The rows one rank's delta carries, copied out of the live shards while
+ * the model is frozen at the checkpointed step. SerializeDelta turns it
+ * into the store's delta-stream bytes.
+ */
+struct DeltaCapture {
+    /** One shard's (or DP table's) changed-row set. */
+    struct Entry {
+        int32_t table = -1;
+        bool is_dp = false;
+        int64_t row_begin = 0;
+        int64_t row_end = 0;
+        int64_t dim = 0;
+        uint32_t sfpr = 0;
+        /** Global row ids of the touched rows. */
+        std::vector<int64_t> changed;
+        /** Touched-row values, changed.size() x dim. */
+        std::vector<float> payload;
+        /** Touched-row optimizer state, changed.size() x sfpr. */
+        std::vector<float> opt_payload;
+    };
+    int rank = 0;
+    uint64_t epoch = 0;
+    std::vector<Entry> entries;
+    /** Rank 0's replicated dense state (empty elsewhere). */
+    bool has_dense = false;
+    std::vector<uint8_t> dense_blob;
+};
+
+/**
+ * Scan one shard (or DP table) against its reference copy: collect the
+ * rows whose values or optimizer state changed since the last checkpoint
+ * and bring the reference up to date.
+ */
+DeltaCapture::Entry
+CaptureEntry(int table, bool is_dp, int64_t row_begin,
+             const ops::EmbeddingTable& current,
+             const ops::SparseOptimizer& opt, ops::EmbeddingTable& ref_table,
+             std::vector<float>& ref_opt_state)
+{
+    const int64_t rows = current.rows();
+    const int64_t dim = current.dim();
+    const size_t sfpr = opt.StateFloatsPerRow();
+    DeltaCapture::Entry entry;
+    entry.table = table;
+    entry.is_dp = is_dp;
+    entry.row_begin = row_begin;
+    entry.row_end = row_begin + rows;
+    entry.dim = dim;
+    entry.sfpr = static_cast<uint32_t>(sfpr);
+
+    std::vector<float> cur_row(static_cast<size_t>(dim));
+    std::vector<float> ref_row(static_cast<size_t>(dim));
+    std::vector<float> cur_opt(sfpr);
+    for (int64_t r = 0; r < rows; r++) {
+        current.ReadRow(r, cur_row.data());
+        ref_table.ReadRow(r, ref_row.data());
+        opt.ExportRowState(r, cur_opt.data());
+        float* ref_opt = ref_opt_state.data() + static_cast<size_t>(r) * sfpr;
+        const bool row_changed =
+            std::memcmp(cur_row.data(), ref_row.data(),
+                        static_cast<size_t>(dim) * sizeof(float)) != 0;
+        const bool opt_changed =
+            sfpr > 0 &&
+            std::memcmp(cur_opt.data(), ref_opt, sfpr * sizeof(float)) != 0;
+        if (row_changed || opt_changed) {
+            // Delta rows carry GLOBAL row ids so restore can assemble
+            // logical tables without knowing the writer's sharding.
+            entry.changed.push_back(row_begin + r);
+            entry.payload.insert(entry.payload.end(), cur_row.begin(),
+                                 cur_row.end());
+            entry.opt_payload.insert(entry.opt_payload.end(),
+                                     cur_opt.begin(), cur_opt.end());
+            ref_table.WriteRow(r, cur_row.data());
+            std::memcpy(ref_opt, cur_opt.data(), sfpr * sizeof(float));
+        }
+    }
+    return entry;
+}
+
+/** The delta-stream bytes CheckpointStore::AppendDelta stores. */
+std::vector<uint8_t>
+SerializeDelta(const DeltaCapture& capture)
+{
+    NEO_TRACE_SPAN("checkpoint_serialize", "recovery");
+    BinaryWriter writer;
+    writer.Write<uint32_t>(kDeltaStreamMagic);
+    writer.Write<int32_t>(capture.rank);
+    writer.Write<uint64_t>(capture.epoch);
+    writer.Write<uint64_t>(capture.entries.size());
+    for (const DeltaCapture::Entry& entry : capture.entries) {
+        writer.Write<int32_t>(entry.table);
+        writer.Write<uint8_t>(entry.is_dp ? 1 : 0);
+        writer.Write<int64_t>(entry.row_begin);
+        writer.Write<int64_t>(entry.row_end);
+        writer.Write<int64_t>(0);
+        writer.Write<int64_t>(entry.dim);
+        writer.Write<uint32_t>(entry.sfpr);
+        writer.WriteVector(entry.changed);
+        writer.WriteVector(entry.payload);
+        writer.WriteVector(entry.opt_payload);
+    }
+    writer.Write<uint8_t>(capture.has_dense ? 1 : 0);
+    if (capture.has_dense) {
+        writer.WriteVector(capture.dense_blob);
+    }
+    return writer.buffer();
+}
+
 }  // namespace
 
 DeltaCheckpointer::DeltaCheckpointer(ops::EmbeddingTable* table)
@@ -418,129 +527,47 @@ void
 DistributedCheckpointer::WriteDelta()
 {
     NEO_TRACE_SPAN("checkpoint_delta", "recovery");
-    const DeltaCapture capture = CaptureDelta();
-    store_.AppendDelta(capture.rank, SerializeDelta(capture));
-}
-
-DistributedCheckpointer::DeltaCapture
-DistributedCheckpointer::CaptureDelta()
-{
-    NEO_TRACE_SPAN("checkpoint_capture", "recovery");
     NEO_REQUIRE(shard_refs_.size() == trainer_.shards_.size(),
                 "WriteDelta before WriteBaseline");
-    AgreeEpoch();
-
     DeltaCapture capture;
-    capture.rank = trainer_.rank_;
-    capture.epoch = epoch_;
+    {
+        NEO_TRACE_SPAN("checkpoint_capture", "recovery");
+        AgreeEpoch();
+        capture.rank = trainer_.rank_;
+        capture.epoch = epoch_;
+        for (size_t i = 0; i < trainer_.shards_.size(); i++) {
+            const auto& shard = trainer_.shards_[i];
+            capture.entries.push_back(CaptureEntry(
+                shard.meta.table, false, shard.meta.row_begin, shard.table,
+                shard.optimizer, shard_refs_[i].table,
+                shard_refs_[i].opt_state));
+        }
+        if (trainer_.rank_ == 0) {
+            NEO_REQUIRE(dp_refs_.size() == trainer_.dp_tables_.size(),
+                        "DP reference bookkeeping mismatch");
+            for (size_t i = 0; i < trainer_.dp_tables_.size(); i++) {
+                const auto& dp = trainer_.dp_tables_[i];
+                capture.entries.push_back(CaptureEntry(
+                    dp.table, true, 0, dp.replica, dp.optimizer,
+                    dp_refs_[i].table, dp_refs_[i].opt_state));
+            }
+            capture.has_dense = true;
+            BinaryWriter dense;
+            trainer_.bottom_->Save(dense);
+            trainer_.top_->Save(dense);
+            trainer_.dense_opt_.Save(dense);
+            capture.dense_blob = dense.buffer();
+        }
+    }
 
     last_delta_rows_ = 0;
-    auto capture_entry = [&](int table, bool is_dp, int64_t row_begin,
-                             const ops::EmbeddingTable& current,
-                             const ops::SparseOptimizer& opt,
-                             Reference& ref) {
-        const int64_t rows = current.rows();
-        const int64_t dim = current.dim();
-        const size_t sfpr = opt.StateFloatsPerRow();
-        DeltaCapture::Entry entry;
-        entry.table = table;
-        entry.is_dp = is_dp;
-        entry.row_begin = row_begin;
-        entry.row_end = row_begin + rows;
-        entry.dim = dim;
-        entry.sfpr = static_cast<uint32_t>(sfpr);
-
-        std::vector<float> cur_row(static_cast<size_t>(dim));
-        std::vector<float> ref_row(static_cast<size_t>(dim));
-        std::vector<float> cur_opt(sfpr);
-        for (int64_t r = 0; r < rows; r++) {
-            current.ReadRow(r, cur_row.data());
-            ref.table.ReadRow(r, ref_row.data());
-            opt.ExportRowState(r, cur_opt.data());
-            const float* ref_opt =
-                ref.opt_state.data() + static_cast<size_t>(r) * sfpr;
-            const bool row_changed =
-                std::memcmp(cur_row.data(), ref_row.data(),
-                            static_cast<size_t>(dim) * sizeof(float)) != 0;
-            const bool opt_changed =
-                sfpr > 0 && std::memcmp(cur_opt.data(), ref_opt,
-                                        sfpr * sizeof(float)) != 0;
-            if (row_changed || opt_changed) {
-                // Delta rows carry GLOBAL row ids so restore can assemble
-                // logical tables without knowing the writer's sharding.
-                entry.changed.push_back(row_begin + r);
-                entry.payload.insert(entry.payload.end(), cur_row.begin(),
-                                     cur_row.end());
-                entry.opt_payload.insert(entry.opt_payload.end(),
-                                         cur_opt.begin(), cur_opt.end());
-                ref.table.WriteRow(r, cur_row.data());
-                std::memcpy(ref.opt_state.data() +
-                                static_cast<size_t>(r) * sfpr,
-                            cur_opt.data(), sfpr * sizeof(float));
-            }
-        }
+    for (const DeltaCapture::Entry& entry : capture.entries) {
         last_delta_rows_ += entry.changed.size();
-        capture.entries.push_back(std::move(entry));
-    };
-
-    for (size_t i = 0; i < trainer_.shards_.size(); i++) {
-        auto& shard = trainer_.shards_[i];
-        capture_entry(shard.meta.table, false, shard.meta.row_begin,
-                      shard.table, shard.optimizer, shard_refs_[i]);
     }
-    if (trainer_.rank_ == 0) {
-        NEO_REQUIRE(dp_refs_.size() == trainer_.dp_tables_.size(),
-                    "DP reference bookkeeping mismatch");
-        for (size_t i = 0; i < trainer_.dp_tables_.size(); i++) {
-            auto& dp = trainer_.dp_tables_[i];
-            capture_entry(dp.table, true, 0, dp.replica, dp.optimizer,
-                          dp_refs_[i]);
-        }
-    }
-
-    // The dense state mutates next step, so the capture must copy it now
-    // even though serialization may run later on another thread.
-    capture.has_dense = trainer_.rank_ == 0;
-    if (capture.has_dense) {
-        BinaryWriter dense;
-        trainer_.bottom_->Save(dense);
-        trainer_.top_->Save(dense);
-        trainer_.dense_opt_.Save(dense);
-        capture.dense_blob = dense.buffer();
-    }
-
+    store_.AppendDelta(capture.rank, SerializeDelta(capture));
     obs::MetricsRegistry::Get()
         .GetCounter("neo.core.checkpoint_deltas")
         .Add();
-    return capture;
-}
-
-std::vector<uint8_t>
-DistributedCheckpointer::SerializeDelta(const DeltaCapture& capture)
-{
-    NEO_TRACE_SPAN("checkpoint_serialize", "recovery");
-    BinaryWriter writer;
-    writer.Write<uint32_t>(kDeltaStreamMagic);
-    writer.Write<int32_t>(capture.rank);
-    writer.Write<uint64_t>(capture.epoch);
-    writer.Write<uint64_t>(capture.entries.size());
-    for (const DeltaCapture::Entry& entry : capture.entries) {
-        writer.Write<int32_t>(entry.table);
-        writer.Write<uint8_t>(entry.is_dp ? 1 : 0);
-        writer.Write<int64_t>(entry.row_begin);
-        writer.Write<int64_t>(entry.row_end);
-        writer.Write<int64_t>(0);
-        writer.Write<int64_t>(entry.dim);
-        writer.Write<uint32_t>(entry.sfpr);
-        writer.WriteVector(entry.changed);
-        writer.WriteVector(entry.payload);
-        writer.WriteVector(entry.opt_payload);
-    }
-    writer.Write<uint8_t>(capture.has_dense ? 1 : 0);
-    if (capture.has_dense) {
-        writer.WriteVector(capture.dense_blob);
-    }
-    return writer.buffer();
 }
 
 AssembledCheckpoint

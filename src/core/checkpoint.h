@@ -202,52 +202,8 @@ class DistributedCheckpointer
     /** Write a delta since the last Write*() (collective; all ranks). */
     void WriteDelta();
 
-    /**
-     * The foreground half of a delta write: everything that must see the
-     * model frozen at one step. Agrees the epoch (collective), scans the
-     * shards against their references, and copies out just the touched
-     * rows (plus rank 0's dense state) — the cheap memcpy the step path
-     * pays. The returned capture is self-contained: serialization and
-     * store appends can happen on another thread while training resumes
-     * (AsyncCheckpointer). SerializeDelta(CaptureDelta()) is byte-for-
-     * byte what WriteDelta() appends.
-     */
-    struct DeltaCapture {
-        /** One shard's (or DP table's) changed-row set. */
-        struct Entry {
-            int32_t table = -1;
-            bool is_dp = false;
-            int64_t row_begin = 0;
-            int64_t row_end = 0;
-            int64_t dim = 0;
-            uint32_t sfpr = 0;
-            /** Global row ids of the touched rows. */
-            std::vector<int64_t> changed;
-            /** Touched-row values, changed.size() x dim. */
-            std::vector<float> payload;
-            /** Touched-row optimizer state, changed.size() x sfpr. */
-            std::vector<float> opt_payload;
-        };
-        int rank = 0;
-        uint64_t epoch = 0;
-        std::vector<Entry> entries;
-        /** Rank 0's replicated dense state (empty elsewhere). */
-        bool has_dense = false;
-        std::vector<uint8_t> dense_blob;
-    };
-
-    /** Capture the foreground half of a delta (collective; all ranks). */
-    DeltaCapture CaptureDelta();
-
-    /** Serialize a capture into the store's delta-stream format. Pure
-     *  function of the capture — safe off-thread. */
-    static std::vector<uint8_t> SerializeDelta(const DeltaCapture& capture);
-
     /** Consistency epoch of the last completed Write*(). */
     uint64_t epoch() const { return epoch_; }
-
-    /** Destination store (for deferred SerializeDelta appends). */
-    CheckpointStore& store() { return store_; }
 
     /** Changed rows across all shards in the last WriteDelta(). */
     uint64_t last_delta_rows() const { return last_delta_rows_; }

@@ -75,12 +75,6 @@ StepBreakdown::FromSpans(const std::vector<Span>& spans, int rank,
         }
     }
 
-    // For the overlap_saved term: the step spans' time intervals, and
-    // the root spans of threads that recorded no step span (background
-    // lanes such as the async checkpoint flush).
-    std::vector<std::pair<int64_t, int64_t>> step_intervals;
-    std::vector<std::pair<int64_t, int64_t>> background_roots;
-
     for (auto& [tid, local] : by_tid) {
         (void)tid;
         // Parents sort before children: earlier start first, and at
@@ -98,8 +92,6 @@ StepBreakdown::FromSpans(const std::vector<Span>& spans, int rank,
         std::vector<int64_t> child_ns(n, 0);
         std::vector<char> in_step(n, 0);
         std::vector<size_t> stack;
-        std::vector<std::pair<int64_t, int64_t>> tid_roots;
-        bool tid_has_step = false;
         for (size_t i = 0; i < n; i++) {
             const Span& s = local[i];
             while (!stack.empty()) {
@@ -114,27 +106,15 @@ StepBreakdown::FromSpans(const std::vector<Span>& spans, int rank,
             if (!stack.empty()) {
                 parent[i] = static_cast<int>(stack.back());
                 child_ns[stack.back()] += s.dur_ns;
-            } else {
-                tid_roots.emplace_back(s.start_ns, s.start_ns + s.dur_ns);
             }
             const bool is_step = std::strcmp(s.name, step_name) == 0;
             in_step[i] =
                 is_step || (parent[i] >= 0 && in_step[parent[i]] != 0);
             if (is_step) {
-                tid_has_step = true;
                 out.steps++;
                 step_total_ns += static_cast<double>(s.dur_ns);
-                step_intervals.emplace_back(s.start_ns,
-                                            s.start_ns + s.dur_ns);
             }
             stack.push_back(i);
-        }
-        // A thread with no step span of its own is a background lane;
-        // the part of its root spans that coincides with the step spans
-        // is work the overlap took off the critical path.
-        if (!tid_has_step) {
-            background_roots.insert(background_roots.end(),
-                                    tid_roots.begin(), tid_roots.end());
         }
 
         for (size_t i = 0; i < n; i++) {
@@ -162,38 +142,8 @@ StepBreakdown::FromSpans(const std::vector<Span>& spans, int rank,
         }
     }
 
-    // overlap_saved: background-lane root time that coincides with the
-    // (merged) step intervals. Roots within one lane are sequential, so
-    // summing each root's intersection with the merged step windows
-    // never double-counts lane time; concurrent lanes sum, because each
-    // would have serialized onto the critical path separately.
-    if (!background_roots.empty() && !step_intervals.empty()) {
-        std::sort(step_intervals.begin(), step_intervals.end());
-        std::vector<std::pair<int64_t, int64_t>> merged;
-        for (const auto& interval : step_intervals) {
-            if (!merged.empty() && interval.first <= merged.back().second) {
-                merged.back().second =
-                    std::max(merged.back().second, interval.second);
-            } else {
-                merged.push_back(interval);
-            }
-        }
-        int64_t overlap_ns = 0;
-        for (const auto& [begin, end] : background_roots) {
-            for (const auto& [mb, me] : merged) {
-                const int64_t lo = std::max(begin, mb);
-                const int64_t hi = std::min(end, me);
-                if (hi > lo) {
-                    overlap_ns += hi - lo;
-                }
-            }
-        }
-        out.overlap_saved = static_cast<double>(overlap_ns) * 1e-9;
-    }
-
     if (out.steps > 0) {
         const double inv = 1.0 / static_cast<double>(out.steps);
-        out.overlap_saved *= inv;
         out.categories.data *= inv;
         out.categories.emb_fwd *= inv;
         out.categories.emb_bwd *= inv;
@@ -228,7 +178,6 @@ StepBreakdown::FromModel(const sim::IterationBreakdown& model)
     // overhead term, mirroring how measured checkpoint spans (category
     // "recovery", transparent) attribute.
     out.categories.other = model.overhead + model.checkpoint;
-    out.overlap_saved = model.overlap_saved;
     out.step_seconds = model.total;
     out.steps = 1;
     return out;
@@ -284,12 +233,6 @@ StepBreakdown::ToTable() const
                    ? 100.0 * categories.ExposedComm() / step_seconds
                    : 0.0,
                "%.1f");
-    table.Row()
-        .Cell("overlap saved")
-        .CellF(overlap_saved * 1e3, "%.3f")
-        .CellF(step_seconds > 0.0 ? 100.0 * overlap_saved / step_seconds
-                                  : 0.0,
-               "%.1f");
     return table.ToString();
 }
 
@@ -311,18 +254,6 @@ StepBreakdown::DiffTable(const StepBreakdown& measured,
         } else {
             table.Cell("-");
         }
-    }
-    const double m_overlap = measured.overlap_saved * 1e3;
-    const double p_overlap = modeled.overlap_saved * 1e3;
-    table.Row()
-        .Cell("overlap saved")
-        .CellF(m_overlap, "%.3f")
-        .CellF(p_overlap, "%.3f")
-        .CellF(m_overlap - p_overlap, "%+.3f");
-    if (p_overlap > 0.0) {
-        table.CellF(m_overlap / p_overlap, "%.2f");
-    } else {
-        table.Cell("-");
     }
     const double m_total = measured.step_seconds * 1e3;
     const double p_total = modeled.step_seconds * 1e3;

@@ -64,19 +64,6 @@ class StepBreakdown
     int steps = 0;
 
     /**
-     * Per-step seconds of work this rank ran CONCURRENTLY with its step
-     * spans on background threads (async checkpoint flushes) — work a
-     * sequential schedule would have added to the critical path.
-     * Deliberately NOT a category: the exclusive-
-     * time buckets still sum to the step wall clock, and overlap_saved
-     * reports the extra off-path time separately. Measured as the
-     * temporal intersection of background-thread root spans with the
-     * rank's step spans; threads that recorded any step span themselves
-     * are never counted (their time is already inside the buckets).
-     */
-    double overlap_saved = 0.0;
-
-    /**
      * Aggregate the spans recorded by `rank`'s threads: every span nested
      * (by time + depth) inside a span named `step_name` is charged to a
      * bucket by exclusive time. Spans of other ranks are ignored.

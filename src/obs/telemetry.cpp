@@ -18,7 +18,6 @@ WriteBreakdown(BinaryWriter& writer, const StepBreakdown& b)
     writer.Write<BreakdownCategories>(b.categories);
     writer.Write<double>(b.step_seconds);
     writer.Write<int32_t>(b.steps);
-    writer.Write<double>(b.overlap_saved);
 }
 
 StepBreakdown
@@ -28,7 +27,6 @@ ReadBreakdown(BinaryReader& reader)
     b.categories = reader.Read<BreakdownCategories>();
     b.step_seconds = reader.Read<double>();
     b.steps = reader.Read<int32_t>();
-    b.overlap_saved = reader.Read<double>();
     return b;
 }
 
@@ -131,21 +129,27 @@ DeserializeRankTelemetry(std::vector<uint8_t> bytes)
     t.rank = reader.Read<int32_t>();
     t.clock_ns = reader.Read<int64_t>();
 
-    const uint64_t n_counters = reader.Read<uint64_t>();
+    // Every count is checked against the bytes left, at the smallest
+    // wire size of one entry (a name's length prefix plus its value),
+    // before anything is reserved for it.
+    const uint64_t n_counters =
+        reader.ReadCount(sizeof(uint64_t) + sizeof(uint64_t));
     t.metrics.counters.reserve(n_counters);
     for (uint64_t i = 0; i < n_counters; i++) {
         std::string name = reader.ReadString();
         const uint64_t value = reader.Read<uint64_t>();
         t.metrics.counters.emplace_back(std::move(name), value);
     }
-    const uint64_t n_gauges = reader.Read<uint64_t>();
+    const uint64_t n_gauges =
+        reader.ReadCount(sizeof(uint64_t) + sizeof(double));
     t.metrics.gauges.reserve(n_gauges);
     for (uint64_t i = 0; i < n_gauges; i++) {
         std::string name = reader.ReadString();
         const double value = reader.Read<double>();
         t.metrics.gauges.emplace_back(std::move(name), value);
     }
-    const uint64_t n_histograms = reader.Read<uint64_t>();
+    const uint64_t n_histograms =
+        reader.ReadCount(sizeof(uint64_t) + sizeof(Histogram::Snapshot));
     t.metrics.histograms.reserve(n_histograms);
     for (uint64_t i = 0; i < n_histograms; i++) {
         std::string name = reader.ReadString();
@@ -155,7 +159,9 @@ DeserializeRankTelemetry(std::vector<uint8_t> bytes)
 
     t.breakdown = ReadBreakdown(reader);
 
-    const uint64_t n_spans = reader.Read<uint64_t>();
+    const uint64_t n_spans = reader.ReadCount(
+        2 * sizeof(uint64_t) + 2 * sizeof(int64_t) + sizeof(int32_t) +
+        sizeof(uint32_t) + sizeof(uint16_t));
     t.spans.reserve(n_spans);
     for (uint64_t i = 0; i < n_spans; i++) {
         HarvestedSpan span;

@@ -37,7 +37,7 @@
 namespace neo::obs {
 
 inline constexpr uint32_t kTelemetryMagic = 0x4e544c4dU;  // "NTLM"
-inline constexpr uint32_t kTelemetryVersion = 1;
+inline constexpr uint32_t kTelemetryVersion = 2;
 
 /** A Span whose name/cat survived serialization (owned strings). */
 struct HarvestedSpan {

@@ -148,19 +148,8 @@ IterationModel::Compose(bool comm_free) const
 
     // ---- checkpointing (Sec. 4.4 / Check-N-Run) ----
     if (setup_.checkpoint_bytes > 0.0) {
-        const double sync_write = comm_.fault_model().CheckpointWriteSeconds(
+        bd.checkpoint = comm_.fault_model().CheckpointWriteSeconds(
             setup_.checkpoint_bytes);
-        if (setup_.async_checkpoint) {
-            // Only the foreground capture copy blocks the step; the
-            // serialize + store write happens behind the next steps.
-            bd.checkpoint =
-                setup_.checkpoint_copy_Bps > 0.0
-                    ? setup_.checkpoint_bytes / setup_.checkpoint_copy_Bps
-                    : 0.0;
-            bd.overlap_saved += std::max(0.0, sync_write - bd.checkpoint);
-        } else {
-            bd.checkpoint = sync_write;
-        }
     }
 
     // ---- Eq. 1 composition ----

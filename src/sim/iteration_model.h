@@ -81,16 +81,6 @@ struct TrainingSetup {
      * FaultModel::CalibrateCheckpoint.
      */
     double checkpoint_bytes = 0.0;
-    /**
-     * Async checkpointing: only the capture copy (checkpoint_bytes over
-     * checkpoint_copy_Bps) stays on the step path; serialization + store
-     * writes run in the background, and the hidden write cost counts
-     * toward overlap_saved. False = the full write blocks the step.
-     */
-    bool async_checkpoint = false;
-    /** Foreground capture-copy bandwidth for async checkpoints (B/s);
-     *  0 treats the capture as free. */
-    double checkpoint_copy_Bps = 0.0;
 
     int64_t GlobalBatch() const { return per_gpu_batch * num_gpus; }
 };
@@ -112,8 +102,7 @@ struct IterationBreakdown {
     double bot_mlp_bwd = 0.0;
     double allreduce = 0.0;
     double overhead = 0.0;
-    /** Checkpoint cost left ON the step path (sync: the full write;
-     *  async: just the foreground capture copy). */
+    /** Blocking differential-checkpoint write on the step path. */
     double checkpoint = 0.0;
 
     // Derived.
@@ -123,7 +112,7 @@ struct IterationBreakdown {
     /** Communication time left on the critical path after overlap. */
     double exposed_comm = 0.0;
     /** Time taken off the critical path by overlap: the hidden part of
-     *  the input AllToAll plus the hidden async-checkpoint write. */
+     *  the input AllToAll. */
     double overlap_saved = 0.0;
     double qps = 0.0;
 
@@ -143,8 +132,8 @@ class IterationModel
 
     /**
      * Install a reliability/cost model on the underlying comm model —
-     * in particular checkpoint_write_Bps, which prices the sync
-     * checkpoint term (and therefore what async checkpointing saves).
+     * in particular checkpoint_write_Bps, which prices the blocking
+     * checkpoint term.
      */
     void SetFaultModel(const FaultModel& faults)
     {

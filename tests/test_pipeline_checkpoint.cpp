@@ -7,17 +7,12 @@
  */
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "comm/threaded_process_group.h"
 #include "common/parallel_for.h"
-#include "core/async_checkpoint.h"
 #include "core/checkpoint.h"
 #include "core/distributed_trainer.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
-#include "obs/step_breakdown.h"
-#include "obs/trace.h"
 #include "sharding/planner.h"
 
 namespace neo::core {
@@ -244,201 +239,6 @@ TEST(DeltaCheckpoint, RestoreRejectsCorruptDelta)
     delta[0] ^= 0xFF;  // corrupt the magic
     EXPECT_THROW(DeltaCheckpointer::Restore(baseline, {delta}),
                  std::runtime_error);
-}
-
-// ----------------------------------------------------- Async checkpoint
-
-/** Train `steps` steps, checkpointing each one into `store`. */
-void
-TrainWithCheckpoints(const DlrmConfig& model,
-                     const sharding::ShardingPlan& plan, int workers,
-                     size_t local_batch, int steps, CheckpointStore& store,
-                     bool async)
-{
-    comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
-        DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
-        DistributedCheckpointer checkpointer(trainer, store);
-        std::optional<AsyncCheckpointer> background;
-        if (async) {
-            background.emplace(checkpointer, rank);
-            background->WriteBaseline();
-        } else {
-            checkpointer.WriteBaseline();
-        }
-        for (int s = 0; s < steps; s++) {
-            data::Batch global = dataset.NextBatch(local_batch * workers);
-            trainer.TrainStep(Slice(global, rank, local_batch));
-            if (async) {
-                background->WriteDelta();
-            } else {
-                checkpointer.WriteDelta();
-            }
-        }
-        if (async) {
-            background->Flush();
-            EXPECT_EQ(background->flushed_generation(),
-                      static_cast<uint64_t>(steps));
-            EXPECT_EQ(background->in_flight(), 0u);
-        }
-    });
-}
-
-TEST(AsyncCheckpoint, StoreByteIdenticalToSyncCheckpointing)
-{
-    // Async checkpointing only moves WHERE serialization runs; every
-    // baseline and every delta in the store must be byte-for-byte what
-    // the synchronous writer produces.
-    const DlrmConfig model = MakeSmallDlrmConfig(4, 150, 16);
-    const int workers = 2;
-    const size_t local_batch = 16;
-    const int steps = 5;
-    const sharding::ShardingPlan plan = PlanFor(model, workers);
-
-    CheckpointStore sync_store;
-    CheckpointStore async_store;
-    TrainWithCheckpoints(model, plan, workers, local_batch, steps,
-                         sync_store, /*async=*/false);
-    TrainWithCheckpoints(model, plan, workers, local_batch, steps,
-                         async_store, /*async=*/true);
-
-    ASSERT_EQ(sync_store.Ranks(), async_store.Ranks());
-    for (const int rank : sync_store.Ranks()) {
-        EXPECT_EQ(sync_store.Baseline(rank), async_store.Baseline(rank))
-            << "baseline, rank " << rank;
-        const auto sync_deltas = sync_store.Deltas(rank);
-        const auto async_deltas = async_store.Deltas(rank);
-        ASSERT_EQ(sync_deltas.size(), async_deltas.size())
-            << "rank " << rank;
-        ASSERT_EQ(sync_deltas.size(), static_cast<size_t>(steps));
-        for (size_t i = 0; i < sync_deltas.size(); i++) {
-            EXPECT_EQ(sync_deltas[i], async_deltas[i])
-                << "delta " << i << ", rank " << rank;
-        }
-    }
-}
-
-TEST(AsyncCheckpoint, OverlapSavedNonzeroAndBucketsCoverStep)
-{
-    // The span-level proof that the delta flush really left the critical
-    // path: rank 0's checkpoint lane records checkpoint_flush spans that
-    // coincide with its train_step spans (overlap_saved > 0), while the
-    // exclusive-time buckets still sum to the step wall clock.
-    const DlrmConfig model = MakeSmallDlrmConfig(4, 150, 16);
-    const int workers = 2;
-    const size_t local_batch = 16;
-    const int steps = 6;
-    const sharding::ShardingPlan plan = PlanFor(model, workers);
-
-    // A loaded (or sanitizer-slowed) box can starve the lane entirely out
-    // of every step window in one short run, so retry: the property under
-    // test is that the flush *can* run off the critical path, not that
-    // the OS schedules it concurrently on every attempt. Coverage must
-    // hold on every attempt regardless.
-    obs::Tracer& tracer = obs::Tracer::Get();
-    obs::StepBreakdown breakdown;
-    for (int attempt = 0; attempt < 5; attempt++) {
-        CheckpointStore store;
-        tracer.SetEnabled(true);
-        tracer.Clear();
-        TrainWithCheckpoints(model, plan, workers, local_batch, steps,
-                             store, /*async=*/true);
-        const std::vector<obs::Span> spans = tracer.Collect();
-        tracer.SetEnabled(false);
-        tracer.Clear();
-
-        breakdown = obs::StepBreakdown::FromSpans(spans, 0);
-        ASSERT_EQ(breakdown.steps, steps);
-        // Exclusive-time attribution: buckets sum to the wall clock
-        // exactly (up to float rounding), with overlap_saved reported on
-        // top, not inside.
-        EXPECT_NEAR(breakdown.Coverage(), 1.0, 1e-6);
-        if (breakdown.overlap_saved > 0.0) {
-            break;
-        }
-    }
-    EXPECT_GT(breakdown.overlap_saved, 0.0);
-}
-
-TEST(AsyncCheckpoint, DiskStoreDrainsAndRestoresExactly)
-{
-    // Disk mode: the flusher lane writes through CheckpointStore's
-    // atomic file path; after Flush a FRESH store on the directory (a
-    // different process, in effect) restores the exact model state.
-    const DlrmConfig model = MakeSmallDlrmConfig(3, 120, 16);
-    const int workers = 2;
-    const size_t local_batch = 8;
-    const int steps = 4;
-    const sharding::ShardingPlan plan = PlanFor(model, workers);
-
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / "neo_async_ckpt";
-    std::filesystem::remove_all(dir);
-
-    Matrix trained_logits;
-    {
-        CheckpointStore store(dir.string());
-        comm::ThreadedWorld::Run(
-            workers, [&](int rank, comm::ProcessGroup& pg) {
-                DistributedDlrm trainer(model, plan, pg);
-                data::SyntheticCtrDataset dataset(MakeDataConfig(model));
-                DistributedCheckpointer checkpointer(trainer, store);
-                AsyncCheckpointer background(checkpointer, rank);
-                background.WriteBaseline();
-                for (int s = 0; s < steps; s++) {
-                    data::Batch global =
-                        dataset.NextBatch(local_batch * workers);
-                    trainer.TrainStep(Slice(global, rank, local_batch));
-                    background.WriteDelta();
-                }
-                background.Flush();
-                data::SyntheticCtrDataset probe(MakeDataConfig(model));
-                data::Batch global = probe.NextBatch(local_batch * workers);
-                Matrix logits;
-                trainer.Predict(Slice(global, rank, local_batch), logits);
-                if (rank == 0) {
-                    trained_logits = logits;
-                }
-            });
-    }
-
-    CheckpointStore reopened(dir.string());
-    comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
-        DistributedDlrm restored(model, plan, pg);
-        DistributedCheckpointer::RestoreInto(reopened, restored);
-        data::SyntheticCtrDataset probe(MakeDataConfig(model));
-        data::Batch global = probe.NextBatch(local_batch * workers);
-        Matrix logits;
-        restored.Predict(Slice(global, rank, local_batch), logits);
-        if (rank == 0) {
-            EXPECT_EQ(Matrix::MaxAbsDiff(trained_logits, logits), 0.0f);
-        }
-    });
-    std::filesystem::remove_all(dir);
-}
-
-TEST(AsyncCheckpoint, CaptureFailureReleasesSlotForLaterWrites)
-{
-    // The foreground half can fail (here: delta before baseline); the
-    // in-flight slot must come back so the checkpointer stays usable.
-    const DlrmConfig model = MakeSmallDlrmConfig(2, 50, 16);
-    const sharding::ShardingPlan plan = PlanFor(model, 1);
-    CheckpointStore store;
-    comm::ThreadedWorld::Run(1, [&](int rank, comm::ProcessGroup& pg) {
-        DistributedDlrm trainer(model, plan, pg);
-        DistributedCheckpointer checkpointer(trainer, store);
-        AsyncCheckpointer background(checkpointer, rank);
-        EXPECT_THROW(background.WriteDelta(), std::runtime_error);
-        EXPECT_EQ(background.in_flight(), 0u);
-        background.WriteBaseline();
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
-        data::Batch batch = dataset.NextBatch(8);
-        trainer.TrainStep(batch);
-        background.WriteDelta();
-        background.Flush();
-        EXPECT_EQ(background.flushed_generation(), 1u);
-    });
-    EXPECT_EQ(store.Deltas(0).size(), 1u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "obs/step_breakdown.h"
 #include "sim/capacity_model.h"
 #include "sim/comm_model.h"
 #include "sim/embedding_model.h"
@@ -449,6 +450,46 @@ TEST(IterationModel, A3SlowerThanA2SlowerThanA1)
         IterationModel(WorkloadModel::A3(), MakeSetup(128)).Estimate().qps;
     EXPECT_GT(a1, a2);
     EXPECT_GT(a2, a3);
+}
+
+TEST(IterationModel, BlockingCheckpointWriteAddsToStepAndLandsInOther)
+{
+    // Eq. 1's checkpoint term: a differential-checkpoint write blocks the
+    // step for exactly the fault model's calibrated write time, and the
+    // measured-bucket mapping charges it to `other`.
+    const auto workload = WorkloadModel::A1();
+    FaultModel faults;
+    faults.checkpoint_write_Bps = 2.0e9;
+    const double bytes = 64.0 * 1024 * 1024;
+
+    TrainingSetup plain = MakeSetup(128);
+    TrainingSetup checkpointed = plain;
+    checkpointed.checkpoint_bytes = bytes;
+    IterationModel plain_model(workload, plain);
+    IterationModel checkpointed_model(workload, checkpointed);
+    plain_model.SetFaultModel(faults);
+    checkpointed_model.SetFaultModel(faults);
+    const IterationBreakdown without = plain_model.Estimate();
+    const IterationBreakdown with = checkpointed_model.Estimate();
+
+    const double write_s = faults.CheckpointWriteSeconds(bytes);
+    ASSERT_GT(write_s, 0.0);
+    EXPECT_EQ(without.checkpoint, 0.0);
+    EXPECT_DOUBLE_EQ(with.checkpoint, write_s);
+    EXPECT_DOUBLE_EQ(with.total, without.total + write_s);
+    EXPECT_DOUBLE_EQ(with.t_fwd, without.t_fwd);
+    EXPECT_DOUBLE_EQ(with.t_bwd, without.t_bwd);
+
+    const obs::StepBreakdown measured_without =
+        obs::StepBreakdown::FromModel(without);
+    const obs::StepBreakdown measured_with =
+        obs::StepBreakdown::FromModel(with);
+    EXPECT_DOUBLE_EQ(measured_with.categories.other,
+                     with.overhead + write_s);
+    EXPECT_DOUBLE_EQ(measured_with.categories.other -
+                         measured_without.categories.other,
+                     write_s);
+    EXPECT_DOUBLE_EQ(measured_with.step_seconds, with.total);
 }
 
 // --------------------------------------------------------- Capacity / PS

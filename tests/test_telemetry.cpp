@@ -410,7 +410,6 @@ SampleTelemetry()
     t.breakdown.steps = 4;
     t.breakdown.categories.mlp_fwd = 0.05;
     t.breakdown.categories.alltoall = 0.075;
-    t.breakdown.overlap_saved = 0.01;
     t.spans.push_back(HarvestedSpan{"train_step", "step", 100, 900, 3, 1, 0});
     t.spans.push_back(HarvestedSpan{"fwd", "mlp_fwd", 150, 200, 3, 1, 1});
     return t;
@@ -437,7 +436,6 @@ TEST(TelemetryWire, RoundTripPreservesEverything)
     EXPECT_DOUBLE_EQ(back.breakdown.step_seconds, 0.125);
     EXPECT_EQ(back.breakdown.steps, 4);
     EXPECT_DOUBLE_EQ(back.breakdown.categories.alltoall, 0.075);
-    EXPECT_DOUBLE_EQ(back.breakdown.overlap_saved, 0.01);
     ASSERT_EQ(back.spans.size(), 2u);
     EXPECT_EQ(back.spans[0].name, "train_step");
     EXPECT_EQ(back.spans[1].cat, "mlp_fwd");
@@ -447,7 +445,8 @@ TEST(TelemetryWire, RoundTripPreservesEverything)
 
 TEST(TelemetryWire, RejectsCorruptMagicAndTruncation)
 {
-    std::vector<uint8_t> bytes = SerializeRankTelemetry(SampleTelemetry());
+    const std::vector<uint8_t> bytes =
+        SerializeRankTelemetry(SampleTelemetry());
     std::vector<uint8_t> corrupt = bytes;
     corrupt[0] ^= 0xff;
     EXPECT_THROW(DeserializeRankTelemetry(corrupt), std::runtime_error);
@@ -456,6 +455,57 @@ TEST(TelemetryWire, RejectsCorruptMagicAndTruncation)
                                    bytes.begin() +
                                        static_cast<ptrdiff_t>(bytes.size() / 2));
     EXPECT_THROW(DeserializeRankTelemetry(truncated), std::runtime_error);
+
+    // Each section's u64 count, and a name's length prefix, comes straight
+    // off the wire. A hostile value must fail as corrupt input before any
+    // reserve() sized by it, not as std::length_error or std::bad_alloc.
+    const RankTelemetry t = SampleTelemetry();
+    size_t off = sizeof(uint32_t) * 2 + sizeof(int32_t) + sizeof(int64_t);
+    const size_t counters_at = off;
+    off += sizeof(uint64_t);
+    for (const auto& [name, value] : t.metrics.counters) {
+        off += sizeof(uint64_t) + name.size() + sizeof(value);
+    }
+    const size_t gauges_at = off;
+    off += sizeof(uint64_t);
+    for (const auto& [name, value] : t.metrics.gauges) {
+        off += sizeof(uint64_t) + name.size() + sizeof(value);
+    }
+    const size_t histograms_at = off;
+    off += sizeof(uint64_t);
+    for (const auto& [name, snap] : t.metrics.histograms) {
+        off += sizeof(uint64_t) + name.size() + sizeof(snap);
+    }
+    off += sizeof(BreakdownCategories) + sizeof(double) + sizeof(int32_t);
+    const size_t spans_at = off;
+
+    auto read_u64 = [&](size_t at) {
+        uint64_t v = 0;
+        std::memcpy(&v, bytes.data() + at, sizeof(v));
+        return v;
+    };
+    // The offsets must land on the real counts, or the test proves nothing.
+    ASSERT_EQ(read_u64(counters_at), t.metrics.counters.size());
+    ASSERT_EQ(read_u64(gauges_at), t.metrics.gauges.size());
+    ASSERT_EQ(read_u64(histograms_at), t.metrics.histograms.size());
+    ASSERT_EQ(read_u64(spans_at), t.spans.size());
+    // The first counter's name length prefix follows its section count.
+    const size_t name_at = counters_at + sizeof(uint64_t);
+    ASSERT_EQ(read_u64(name_at), t.metrics.counters[0].first.size());
+
+    for (const size_t at :
+         {counters_at, gauges_at, histograms_at, spans_at, name_at}) {
+        for (const uint64_t hostile :
+             {~uint64_t{0}, ~uint64_t{0} - at, uint64_t{1} << 40,
+              uint64_t{1} << 33, uint64_t{bytes.size()}}) {
+            std::vector<uint8_t> hostile_bytes = bytes;
+            std::memcpy(hostile_bytes.data() + at, &hostile,
+                        sizeof(hostile));
+            EXPECT_THROW(DeserializeRankTelemetry(hostile_bytes),
+                         std::runtime_error)
+                << "count at offset " << at << " = " << hostile;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
